@@ -46,7 +46,13 @@ from posetpoly.invariants import (
     phi,
 )
 from posetpoly.localized import LocalizedRatio
-from posetpoly.omegagraph import build_omega_graph, count_paths, to_dot
+from posetpoly.omegagraph import (
+    PathCounts,
+    build_omega_graph,
+    count_paths,
+    path_counts,
+    to_dot,
+)
 from posetpoly.polynomials import UniPoly
 from posetpoly.posetfile import PosetParseError, parse_poset_file
 from posetpoly.posets import LabeledPoset, enumerate_ideals, iter_bits
@@ -99,13 +105,19 @@ def _poset_echo(lp: LabeledPoset) -> dict:
 
 
 def _document(
-    lp: LabeledPoset, invariant: str, body: dict, started: float
+    lp: LabeledPoset,
+    invariant: str,
+    body: dict,
+    started: float,
+    counts: PathCounts | None = None,
 ) -> dict:
-    graph = build_omega_graph(lp)
+    """The JSON document; counts default to the shared path_counts(lp)."""
+    if counts is None:
+        counts = path_counts(lp)
     metadata = {
         "size": lp.size,
-        "ideal_count": len(graph.ideals),
-        "path_counts": list(count_paths(graph).c),
+        "ideal_count": len(enumerate_ideals(lp.poset)),
+        "path_counts": list(counts.c),
         "elapsed_seconds": round(time.perf_counter() - started, 6),
     }
     return {"poset": _poset_echo(lp), "invariant": invariant, **body, "metadata": metadata}
@@ -152,7 +164,8 @@ def _cmd_omega_graph(args: argparse.Namespace) -> int:
             "{" + ", ".join(map(str, _member_list(graph.ideals[i]))) + "} -> "
             "{" + ", ".join(map(str, _member_list(graph.ideals[j]))) + "}"
         )
-    return _emit(args, _document(lp, "omega-graph", body, started), "\n".join(lines))
+    document = _document(lp, "omega-graph", body, started, count_paths(graph))
+    return _emit(args, document, "\n".join(lines))
 
 
 _LABELED_ROUTES = {

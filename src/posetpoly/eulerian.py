@@ -21,7 +21,7 @@ from math import comb
 
 from posetpoly.localized import LocalizedRatio
 from posetpoly.invariants import order_poly_recursive
-from posetpoly.omegagraph import build_omega_graph, chain_polynomial, count_paths
+from posetpoly.omegagraph import build_omega_graph, chain_polynomial, path_counts
 from posetpoly.polynomials import UniPoly
 from posetpoly.posets import (
     LabeledPoset,
@@ -46,7 +46,7 @@ LAMBDA = UniPoly((0, 1))
 ONE_MINUS_LAMBDA = UniPoly((1, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EulerianPair:
     """e and etilde = e/(1-λ)^(|P|+1), the latter in canonical form."""
 
@@ -59,7 +59,7 @@ def eulerian_from_chains(lp: LabeledPoset) -> EulerianPair:
     n = lp.size
     if n == 0:
         return EulerianPair(UniPoly([1]), LocalizedRatio(UniPoly([1]), 1))
-    counts = count_paths(build_omega_graph(lp)).c
+    counts = path_counts(lp).c
     e = UniPoly()
     etilde = LocalizedRatio(UniPoly())
     lam_over = LocalizedRatio(LAMBDA, 1)

@@ -28,7 +28,7 @@ from itertools import product
 from math import comb, factorial
 
 from posetpoly.matrices import PolyMatrix, matrix_exp_scaled, matrix_log_unipotent
-from posetpoly.omegagraph import OmegaGraph, build_omega_graph, count_paths
+from posetpoly.omegagraph import OmegaGraph, build_omega_graph, path_counts
 from posetpoly.polynomials import UniPoly, delta_inverse, lagrange_interpolate
 from posetpoly.posets import (
     LabeledPoset,
@@ -174,7 +174,7 @@ def phi(lp: LabeledPoset) -> Fraction:
     cached = _PHI_MEMO.get(key)
     if cached is not None:
         return cached
-    counts = count_paths(build_omega_graph(lp)).c
+    counts = path_counts(lp).c
     total = Fraction(0)
     for k in range(1, len(counts)):
         if counts[k]:

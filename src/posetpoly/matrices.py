@@ -1,9 +1,12 @@
 """Exact square matrices over Q and over Q[t], with unipotent log/exp.
 
 Rows are kept as sparse column->value dicts because the adjacency matrices
-of ideal graphs are mostly empty (an antichain on n elements has 2^n ideals
-but each row holds at most n arcs).  Matrices never mutate after
-construction; every operation allocates a fresh result.
+of ideal graphs are mostly empty: arcs only join nested ideals.  Single
+rows can still be dense (the empty ideal of a naturally labeled
+n-antichain has an arc to each of the other 2^n - 1 ideals), and the
+strict shrub with 12 leaves has 527,346 arcs on 4,097 ideals, about 129
+per row.  Matrices never mutate after construction; every operation
+allocates a fresh result.
 
 matrix_log_unipotent and matrix_exp_scaled implement ln(I+A) and e^{tΦ}
 for strictly upper triangular A: nilpotency truncates both series at the

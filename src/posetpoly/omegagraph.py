@@ -6,9 +6,19 @@ omega-natural.  Arcs therefore always point from smaller ideal to larger,
 the adjacency matrix is strictly upper triangular, and every directed path
 from the empty set to P has at most |P| arcs.
 
-Arc discovery walks submasks of each ideal rather than all ideal pairs:
-the lattice can be exponential in |P| but each ideal only has its own
-subsets as arc sources.
+The arcs out of an ideal I are exactly the nonempty omega-natural ideals
+S of P \\ I, and the search finds them with work that grows with the
+arcs it returns (at most |P| steps per arc), not with the subsets it
+could test.  Elements are renumbered along a linear extension, so
+the lowest undecided element x is always minimal among the undecided
+ones.  Each step either drops x together with its up-set, or adds x to S
+when no member of S below x carries a larger label (one AND against a
+per-element mask).  Dropping is always possible, so every branch ends in
+a distinct S and no work is spent on subsets that fail the test.
+
+path_counts keeps the path counts of the most recent labeled-poset class,
+so the invariants one query asks for in turn (the Eulerian pair, then
+phi) share one graph build.
 """
 
 from __future__ import annotations
@@ -19,20 +29,27 @@ from math import comb
 
 from posetpoly.matrices import RatMatrix
 from posetpoly.polynomials import UniPoly
-from posetpoly.posets import LabeledPoset, enumerate_ideals, iter_bits
+from posetpoly.posets import (
+    LabeledPoset,
+    canonical_key,
+    enumerate_ideals,
+    iter_bits,
+    linear_extension,
+)
 
 __all__ = [
     "OmegaGraph",
     "PathCounts",
     "build_omega_graph",
     "count_paths",
+    "path_counts",
     "multipath_matrix_route",
     "chain_polynomial",
     "to_dot",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OmegaGraph:
     labeled_poset: LabeledPoset
     ideals: tuple[int, ...]
@@ -60,24 +77,50 @@ class OmegaGraph:
 
 
 def build_omega_graph(lp: LabeledPoset) -> OmegaGraph:
-    ideals = enumerate_ideals(lp.poset)
-    index = {mask: k for k, mask in enumerate(ideals)}
-    successors: list[list[int]] = [[] for _ in ideals]
-    for j, big in enumerate(ideals):
-        if big == 0:
-            continue
-        sub = (big - 1) & big
-        while True:
-            i = index.get(sub)
-            if i is not None and lp.is_omega_natural(big & ~sub):
-                successors[i].append(j)
-            if sub == 0:
-                break
-            sub = (sub - 1) & big
-    return OmegaGraph(lp, tuple(ideals), tuple(tuple(sorted(s)) for s in successors))
+    p = lp.poset
+    ideals = enumerate_ideals(p)
+    # renumber along a linear extension: the lowest bit of any undecided set is minimal in it
+    moved = {1 << e: 1 << k for k, e in enumerate(linear_extension(p))}
+
+    def renumber(mask: int) -> int:
+        image = 0
+        while mask:
+            low = mask & -mask
+            image |= moved[low]
+            mask ^= low
+        return image
+
+    # keyed by the renumbered bit of each element x
+    keep_without_up: dict[int, int] = {}  # complement of x and everything above x
+    larger_below: dict[int, int] = {}  # elements below x with a larger label
+    for e in range(p.size):
+        x = moved[1 << e]
+        keep_without_up[x] = ~(x | renumber(p.above[e]))
+        larger_below[x] = renumber(
+            sum(1 << y for y in iter_bits(p.below[e]) if lp.omega[y] > lp.omega[e])
+        )
+    starts = [renumber(ideal) for ideal in ideals]
+    index = {mask: k for k, mask in enumerate(starts)}
+    full = p.full_mask
+    successors = []
+    for start in starts:
+        row = []
+        stack = [(0, full & ~start)]  # (S so far, undecided elements)
+        while stack:
+            chosen, rest = stack.pop()
+            while rest:
+                x = rest & -rest
+                if not chosen & larger_below[x]:
+                    stack.append((chosen | x, rest ^ x))
+                rest &= keep_without_up[x]
+            row.append(index[start | chosen])
+        del row[0]  # the first branch drops every element: S empty, J = I
+        row.sort()
+        successors.append(tuple(row))
+    return OmegaGraph(lp, tuple(ideals), tuple(successors))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathCounts:
     """c[k] = number of source-to-sink paths with exactly k arcs."""
 
@@ -99,6 +142,26 @@ def count_paths(graph: OmegaGraph) -> PathCounts:
                 for w in graph.successors[v]:
                     table[w][length + 1] += ways
     return PathCounts(tuple(table[graph.sink]))
+
+
+_LAST_PATHS: tuple[tuple, PathCounts] | None = None
+
+
+def path_counts(lp: LabeledPoset) -> PathCounts:
+    """count_paths of lp's ideal graph, kept for the most recent poset class.
+
+    Path counts depend only on the labeled-poset class, so the slot is keyed
+    by canonical_key.  One slot, not a memo: the invariants of one poset are
+    usually asked for back to back, and a memo would grow with every class.
+    """
+    global _LAST_PATHS
+    key = canonical_key(lp)
+    last = _LAST_PATHS
+    if last is not None and last[0] == key:
+        return last[1]
+    counts = count_paths(build_omega_graph(lp))
+    _LAST_PATHS = (key, counts)
+    return counts
 
 
 def multipath_matrix_route(graph: OmegaGraph, n: int) -> Fraction:

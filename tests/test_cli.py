@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from posetpoly import cli, omegagraph
 from posetpoly.cli import main
 
 CHAIN = "elements: 2\n0 < 1\n"
@@ -128,6 +129,24 @@ def test_omega_graph_plain(poset_file, capsys):
     assert lines[0] == "vertices: 3"
     assert lines[1] == "arcs: 2"
     assert "{} -> {0, 1}" not in out
+
+
+def test_omega_graph_builds_one_graph(poset_file, capsys, monkeypatch):
+    monkeypatch.setattr(omegagraph, "_LAST_PATHS", None)
+    builds = []
+    original = omegagraph.build_omega_graph
+
+    def counting(lp):
+        builds.append(lp)
+        return original(lp)
+
+    monkeypatch.setattr(cli, "build_omega_graph", counting)
+    monkeypatch.setattr(omegagraph, "build_omega_graph", counting)
+    code, out, _ = run_cli(["omega-graph", poset_file(VEE), "--json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["metadata"]["path_counts"] == [0, 1, 3, 2]
+    assert len(builds) == 1
 
 
 def test_eulerian_routes_agree(poset_file, capsys):

@@ -1,19 +1,28 @@
 import random
 from fractions import Fraction as Fr
 
-from posetpoly.catalog import labeled_catalog
+import pytest
+
+from posetpoly import invariants, omegagraph
+from posetpoly.bernoulli import strict_shrub
+from posetpoly.catalog import labeled_catalog, posets_up_to, standard_labelings
+from posetpoly.eulerian import eulerian_from_chains
+from posetpoly.invariants import phi
 from posetpoly.omegagraph import (
     build_omega_graph,
     chain_polynomial,
     count_paths,
     multipath_matrix_route,
+    path_counts,
     to_dot,
 )
 from posetpoly.polynomials import UniPoly
 from posetpoly.posets import (
     LabeledPoset,
+    enumerate_ideals,
     make_antichain,
     make_chain,
+    make_poset,
     make_shrub,
     natural_labeling,
     reversed_labeling,
@@ -56,6 +65,50 @@ def test_adjacency_strictly_upper_triangular():
         assert build_omega_graph(lp).adjacency().is_strictly_upper_triangular()
 
 
+def _graph_by_definition(lp):
+    """Ideals and sorted successors straight from the definition: an arc
+    I -> J exactly when I is a proper subset of J and J \\ I is omega-natural."""
+    ideals = enumerate_ideals(lp.poset)
+    successors = tuple(
+        tuple(
+            j
+            for j, big in enumerate(ideals)
+            if small != big and small & big == small and lp.is_omega_natural(big & ~small)
+        )
+        for small in ideals
+    )
+    return tuple(ideals), successors
+
+
+def _sparse_poset(rng, n):
+    """A random sparse order on n elements, relations drawn along a shuffled
+    linear extension so that element indices are not in order."""
+    rank = list(range(n))
+    rng.shuffle(rank)
+    covers = [(rank[a], rank[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < 1.5 / n]
+    return make_poset(n, covers)
+
+
+def _equivalence_inputs():
+    for p in posets_up_to(5):
+        for omega in standard_labelings(p):
+            yield LabeledPoset(p, omega)
+    for leaves in range(1, 9):
+        yield strict_shrub(leaves)
+    rng = random.Random(2003)
+    for n in (10, 10, 11, 11, 12, 12):
+        p = _sparse_poset(rng, n)
+        omega = list(range(1, n + 1))
+        rng.shuffle(omega)
+        yield LabeledPoset(p, omega)
+
+
+def test_graph_matches_definition():
+    for lp in _equivalence_inputs():
+        g = build_omega_graph(lp)
+        assert (g.ideals, g.successors) == _graph_by_definition(lp), lp
+
+
 def test_empty_poset_graph():
     g = build_omega_graph(natural(make_antichain(0)))
     assert g.ideals == (0,)
@@ -89,6 +142,45 @@ def test_multipath_routes_agree():
         counts = count_paths(g)
         for n in range(11):
             assert Fr(counts.multipath(n)) == multipath_matrix_route(g, n)
+
+
+@pytest.fixture
+def counted_builds(monkeypatch):
+    """Empty the shared slot and phi memo, and count graph builds."""
+    monkeypatch.setattr(omegagraph, "_LAST_PATHS", None)
+    monkeypatch.setattr(invariants, "_PHI_MEMO", {})
+    builds = []
+    original = omegagraph.build_omega_graph
+
+    def counting(lp):
+        builds.append(lp)
+        return original(lp)
+
+    monkeypatch.setattr(omegagraph, "build_omega_graph", counting)
+    return builds
+
+
+def test_eulerian_then_phi_build_one_graph(counted_builds):
+    lp = LabeledPoset(make_shrub(3), (2, 4, 1, 3))
+    eulerian_from_chains(lp)
+    phi(lp)
+    assert len(counted_builds) == 1
+
+
+def test_path_counts_slot_keyed_by_class(counted_builds):
+    a = LabeledPoset(make_shrub(2), (3, 1, 2))
+    a_again = LabeledPoset(make_poset(3, [(2, 0), (2, 1)]), (10, 20, 30))  # a, renumbered and relabeled
+    b = strict(make_chain(3))
+    expected_a = count_paths(build_omega_graph(a))
+    expected_b = count_paths(build_omega_graph(b))
+    assert expected_a != expected_b
+    assert path_counts(a) == expected_a
+    assert path_counts(a_again) == expected_a
+    assert len(counted_builds) == 1
+    assert path_counts(b) == expected_b
+    assert path_counts(a) == expected_a
+    assert path_counts(b) == expected_b
+    assert len(counted_builds) == 4
 
 
 # --- chain polynomial of the interior graph ---
