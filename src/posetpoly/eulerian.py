@@ -1,11 +1,15 @@
 """Eulerian polynomials of labeled posets and their localized companions.
 
 e(P, omega; lambda) is assembled from ideal-graph path counts:
-e = sum_k c_k λ^k (1-λ)^(|P|-k).  Its localized companion
-etilde = e/(1-λ)^(|P|+1) generates the order polynomial values,
-sum_n Omega(n) λ^n.  Both satisfy a recursion over complements of
-nonempty omega-natural ideals, which is implemented independently of the
-path-count assembly so the two can confirm each other.
+e = sum_k c_k λ^k (1-λ)^(|P|-k).  Expanding the binomial gives the
+coefficient of λ^m in closed form, sum_{k<=m} (-1)^(m-k) C(|P|-k, m-k) c_k,
+which eulerian_from_chains computes in exact integers.  Its localized
+companion etilde = e/(1-λ)^(|P|+1) generates the order polynomial values,
+sum_n Omega(n) λ^n.  That quotient is already in canonical form: e(1) = c_|P|
+counts the linear extensions, which is at least 1, so (1-λ) never divides
+e and no LocalizedRatio arithmetic is needed.  Both satisfy a recursion
+over complements of nonempty omega-natural ideals, which is implemented
+independently of the path-count assembly so the two can confirm each other.
 
 The antichain specializations recover the classical Eulerian polynomials
 A_n, reachable here through four unrelated computations: poset path
@@ -57,18 +61,14 @@ class EulerianPair:
 def eulerian_from_chains(lp: LabeledPoset) -> EulerianPair:
     """Assemble e and etilde from the path counts of the ideal graph."""
     n = lp.size
-    if n == 0:
-        return EulerianPair(UniPoly([1]), LocalizedRatio(UniPoly([1]), 1))
     counts = path_counts(lp).c
-    e = UniPoly()
-    etilde = LocalizedRatio(UniPoly())
-    lam_over = LocalizedRatio(LAMBDA, 1)
-    for k in range(1, n + 1):
-        if counts[k]:
-            e = e + counts[k] * LAMBDA**k * ONE_MINUS_LAMBDA ** (n - k)
-            etilde = etilde + counts[k] * lam_over**k
-    etilde = etilde * LocalizedRatio(UniPoly([1]), 1)
-    return EulerianPair(e, etilde.normalize())
+    coeffs = [
+        sum((-1) ** (m - k) * comb(n - k, m - k) * counts[k] for k in range(m + 1))
+        for m in range(n + 1)
+    ]
+    e = UniPoly(coeffs)
+    # e(1) = c_n >= 1, so (1-λ) does not divide e and this form is canonical
+    return EulerianPair(e, LocalizedRatio(e, n + 1))
 
 
 _EULERIAN_MEMO: dict[tuple, UniPoly] = {}

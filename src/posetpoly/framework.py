@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb
 from typing import Callable, Mapping
@@ -252,13 +253,18 @@ class InvariantSpec:
             )
 
 
-_RUN_MEMO: dict[tuple[str, object], object] = {}
+_RUN_MEMO: dict[InvariantSpec, dict[tuple, object]] = {}
 
 
 def run_invariant(spec: InvariantSpec, lp: LabeledPoset) -> object:
-    """Evaluate the spec's recursion; values are shared per spec name."""
-    key = (spec.name, canonical_key(lp))
-    cached = _RUN_MEMO.get(key)
+    """Evaluate the spec's recursion; values are shared by equal specs only,
+    never by specs that merely share a name."""
+    return _run(spec, _RUN_MEMO.setdefault(spec, {}), lp)
+
+
+def _run(spec: InvariantSpec, memo: dict[tuple, object], lp: LabeledPoset) -> object:
+    key = canonical_key(lp)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     if lp.size == 0:
@@ -269,7 +275,7 @@ def run_invariant(spec: InvariantSpec, lp: LabeledPoset) -> object:
         for ideal in omega_natural_ideals(lp):
             if ideal == 0:
                 continue
-            child = run_invariant(spec, induced_subposet(lp, full ^ ideal))
+            child = _run(spec, memo, induced_subposet(lp, full ^ ideal))
             if spec.family is not None:
                 child = spec.family(ideal.bit_count())(child)
             terms.append(child)
@@ -282,10 +288,11 @@ def run_invariant(spec: InvariantSpec, lp: LabeledPoset) -> object:
             f"operator of {spec.name!r} produced {type(value).__name__}, "
             f"expected {spec.carrier.__name__}"
         )
-    _RUN_MEMO[key] = value
+    memo[key] = value
     return value
 
 
+@cache
 def omega_spec() -> InvariantSpec:
     return InvariantSpec(
         name="omega",
@@ -295,6 +302,7 @@ def omega_spec() -> InvariantSpec:
     )
 
 
+@cache
 def etilde_spec() -> InvariantSpec:
     return InvariantSpec(
         name="etilde",
@@ -304,6 +312,7 @@ def etilde_spec() -> InvariantSpec:
     )
 
 
+@cache
 def eulerian_spec() -> InvariantSpec:
     def member(m: int) -> Callable[[UniPoly], UniPoly]:
         factor = _LAMBDA * _ONE_MINUS_LAMBDA ** (m - 1)
@@ -317,6 +326,7 @@ def eulerian_spec() -> InvariantSpec:
     )
 
 
+@cache
 def qsym_spec(nvars: int) -> InvariantSpec:
     return InvariantSpec(
         name=f"qsym:{nvars}",

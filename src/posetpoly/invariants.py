@@ -16,7 +16,9 @@ with it exactly.
 
 phi is the t-coefficient of the order polynomial, computed here from
 alternating path counts; the flag sums rebuild the whole polynomial from
-phi values of difference subposets.
+phi values of difference subposets.  phi keeps no memo of its own: it
+reads omegagraph.path_counts, whose one slot already holds the counts
+after the Eulerian pair of the same poset, and sums at most |P| terms.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm
+from typing import Callable
 
 from posetpoly.matrices import PolyMatrix, matrix_exp_scaled, matrix_log_unipotent
 from posetpoly.omegagraph import OmegaGraph, build_omega_graph, path_counts
@@ -162,25 +165,16 @@ def order_poly_recursive(lp: LabeledPoset) -> UniPoly:
     return result
 
 
-_PHI_MEMO: dict[tuple, Fraction] = {}
-
-
 def phi(lp: LabeledPoset) -> Fraction:
     """The t-coefficient of the order polynomial, from path counts:
-    sum over k of (-1)^(k-1) c_k / k."""
-    if lp.size == 0:
+    sum over k of (-1)^(k-1) c_k / k, over the common denominator lcm(1..|P|)."""
+    n = lp.size
+    if n == 0:
         return Fraction(0)
-    key = canonical_key(lp)
-    cached = _PHI_MEMO.get(key)
-    if cached is not None:
-        return cached
     counts = path_counts(lp).c
-    total = Fraction(0)
-    for k in range(1, len(counts)):
-        if counts[k]:
-            total += Fraction((-1) ** (k - 1) * counts[k], k)
-    _PHI_MEMO[key] = total
-    return total
+    denominator = lcm(*range(1, n + 1))
+    numerator = sum((-1) ** (k - 1) * counts[k] * (denominator // k) for k in range(1, n + 1))
+    return Fraction(numerator, denominator)
 
 
 def convolution_check(lp: LabeledPoset) -> bool:
@@ -207,17 +201,34 @@ def _strip_zeros(table: dict[tuple[int, int], Fraction]) -> dict[tuple[int, int]
     return {k: v for k, v in table.items() if v != 0}
 
 
+def _phi_per_class(lp: LabeledPoset) -> Callable[[int], Fraction]:
+    """phi of the subposet on a subset of lp.  The identities below ask for
+    the same labeled-poset class many times over, so the returned function
+    builds one graph per class; its table lives only as long as the caller."""
+    seen: dict[tuple, Fraction] = {}
+
+    def phi_of(subset: int) -> Fraction:
+        sub = induced_subposet(lp, subset)
+        key = canonical_key(sub)
+        if key not in seen:
+            seen[key] = phi(sub)
+        return seen[key]
+
+    return phi_of
+
+
 def _flag_products(lp: LabeledPoset) -> list[Fraction]:
     """totals[r] = sum over ideal flags 0 ⊊ I_1 ⊊ ... ⊊ I_r = P of the
     product of phi over successive differences."""
     n = lp.size
     ideals = enumerate_ideals(lp.poset)
+    phi_of = _phi_per_class(lp)
     phis: dict[tuple[int, int], Fraction] = {}
     for a, small in enumerate(ideals):
         for b in range(a + 1, len(ideals)):
             big = ideals[b]
             if small & big == small:
-                phis[(a, b)] = phi(induced_subposet(lp, big & ~small))
+                phis[(a, b)] = phi_of(big & ~small)
     table: list[dict[int, Fraction]] = [dict() for _ in ideals]
     table[0][0] = Fraction(1)
     for b in range(1, len(ideals)):
@@ -252,16 +263,13 @@ def derivative_identity_check(lp: LabeledPoset) -> bool:
     full = lp.poset.full_mask
     target = order_poly_recursive(lp).derivative()
     graph = build_omega_graph(lp)
+    phi_of = _phi_per_class(lp)
     front = UniPoly()
     back = UniPoly()
     for ideal in graph.ideals:
         rest = full & ~ideal
         if ideal:
-            front = front + phi(induced_subposet(lp, ideal)) * order_poly_recursive(
-                induced_subposet(lp, rest)
-            )
+            front = front + phi_of(ideal) * order_poly_recursive(induced_subposet(lp, rest))
         if ideal != full:
-            back = back + phi(induced_subposet(lp, rest)) * order_poly_recursive(
-                induced_subposet(lp, ideal)
-            )
+            back = back + phi_of(rest) * order_poly_recursive(induced_subposet(lp, ideal))
     return front == target and back == target

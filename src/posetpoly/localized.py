@@ -14,12 +14,7 @@ from fractions import Fraction
 
 from posetpoly.polynomials import RationalLike, UniPoly, _as_fraction, _coerce
 
-__all__ = [
-    "LocalizedRatio",
-    "localized_add",
-    "localized_mul",
-    "localized_normalize",
-]
+__all__ = ["LocalizedRatio"]
 
 
 def divide_by_one_minus_lambda(p: UniPoly) -> UniPoly:
@@ -153,14 +148,3 @@ def _coerce_localized(value: LocalizedRatio | UniPoly | RationalLike) -> Localiz
         return value
     return LocalizedRatio(value)
 
-
-def localized_add(a: LocalizedRatio, b: LocalizedRatio) -> LocalizedRatio:
-    return a + b
-
-
-def localized_mul(a: LocalizedRatio, b: LocalizedRatio) -> LocalizedRatio:
-    return a * b
-
-
-def localized_normalize(r: LocalizedRatio) -> LocalizedRatio:
-    return r.normalize()

@@ -16,6 +16,11 @@ when no member of S below x carries a larger label (one AND against a
 per-element mask).  Dropping is always possible, so every branch ends in
 a distinct S and no work is spent on subsets that fail the test.
 
+count_paths runs its DP in exact integers, one int per vertex whose
+base-2^B digit k counts the paths of length k that reach it, so each arc
+costs one shift-add.  No count exceeds n^n for n = |P|, so
+B = n·bit_length(n) + 1 bits never carry.
+
 path_counts keeps the path counts of the most recent labeled-poset class,
 so the invariants one query asks for in turn (the Eulerian pair, then
 phi) share one graph build.
@@ -132,16 +137,25 @@ class PathCounts:
 
 
 def count_paths(graph: OmegaGraph) -> PathCounts:
-    """Path counts by a (vertex, length) DP in lattice order."""
+    """Path counts by a DP in lattice order, one packed int per vertex.
+
+    Base-2^width digit k of packed[v] counts the paths of length k from the
+    source to v, so an arc v -> w is one shift-add.  A path of k arcs from
+    the empty ideal to an ideal v is an ordered partition of v into k
+    blocks, so it counts at most k^|v| <= n^n < 2^(n * n.bit_length()) for
+    n = |P|; width = n * n.bit_length() + 1 keeps every digit from carrying.
+    """
     size = graph.labeled_poset.size
-    table: list[list[int]] = [[0] * (size + 1) for _ in graph.ideals]
-    table[graph.source][0] = 1
-    for v, row in enumerate(table):
-        for length, ways in enumerate(row):
-            if ways:
-                for w in graph.successors[v]:
-                    table[w][length + 1] += ways
-    return PathCounts(tuple(table[graph.sink]))
+    width = size * size.bit_length() + 1
+    packed = [0] * len(graph.ideals)
+    packed[graph.source] = 1
+    for v, succ in enumerate(graph.successors):
+        shifted = packed[v] << width
+        for w in succ:
+            packed[w] += shifted
+    sink = packed[graph.sink]
+    digit = (1 << width) - 1
+    return PathCounts(tuple((sink >> (width * k)) & digit for k in range(size + 1)))
 
 
 _LAST_PATHS: tuple[tuple, PathCounts] | None = None

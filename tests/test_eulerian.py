@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from posetpoly.bernoulli import strict_shrub
 from posetpoly.catalog import labeled_catalog
 from posetpoly.eulerian import (
     LAMBDA,
@@ -70,12 +73,32 @@ def test_tilde_recursive_matches_chain_route():
         assert eulerian_tilde_recursive(lp) == eulerian_from_chains(lp).etilde
 
 
+def _pair_inputs():
+    yield from labeled_catalog(4)
+    for leaves in range(1, 7):
+        yield strict_shrub(leaves)
+
+
 def test_tilde_is_e_with_maximal_pole():
-    for lp in labeled_catalog(4):
+    # e(1) = c_|P| >= 1, so e/(1-λ)^(|P|+1) is already canonical
+    for lp in _pair_inputs():
         pair = eulerian_from_chains(lp)
         lifted = LocalizedRatio(ONE_MINUS_LAMBDA ** (lp.size + 1), 0) * pair.etilde
         assert lifted == LocalizedRatio(pair.e, 0)
-        assert pair.etilde.pole_order <= lp.size + 1
+        assert pair.etilde.pole_order == lp.size + 1
+        assert pair.etilde.numerator == pair.e
+
+
+def test_closed_form_matches_binomial_sum():
+    for lp in _pair_inputs():
+        c = count_paths(build_omega_graph(lp)).c
+        n = lp.size
+        expected = UniPoly()
+        for k, ck in enumerate(c):
+            expected = expected + ck * LAMBDA**k * ONE_MINUS_LAMBDA ** (n - k)
+        e = eulerian_from_chains(lp).e
+        assert e == expected
+        assert all(type(coeff) is Fraction for coeff in e.coeffs)
 
 
 def test_series_expansion_singleton():

@@ -14,6 +14,7 @@ from posetpoly.framework import (
     omega_spec,
     qsym_direct,
     qsym_recursive,
+    qsym_spec,
     qsym_specialization_check,
     quasi_symmetry_check,
     run_invariant,
@@ -163,6 +164,26 @@ def test_framework_eulerian_matches_chain_route():
     spec = eulerian_spec()
     for lp in labeled_catalog(4):
         assert run_invariant(spec, lp) == eulerian_from_chains(lp).e
+
+
+def test_specs_sharing_a_name_do_not_share_values():
+    lp = natural(make_chain(3))
+    run_invariant(omega_spec(), lp)
+    doubled = InvariantSpec(
+        name="omega", carrier=UniPoly, base=UniPoly([2]), operator=delta_inverse
+    )
+    assert run_invariant(doubled, lp) == UniPoly([0, Fraction(2, 3), 1, Fraction(1, 3)])
+    assert run_invariant(omega_spec(), lp) == UniPoly(
+        [0, Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)]
+    )
+
+
+def test_spec_factories_return_one_spec_per_argument():
+    assert omega_spec() is omega_spec()
+    assert etilde_spec() is etilde_spec()
+    assert eulerian_spec() is eulerian_spec()
+    assert qsym_spec(3) is qsym_spec(3)
+    assert qsym_spec(2) is not qsym_spec(3)
 
 
 def test_spec_validation():

@@ -3,13 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from posetpoly.localized import (
-    LocalizedRatio,
-    divide_by_one_minus_lambda,
-    localized_add,
-    localized_mul,
-    localized_normalize,
-)
+from posetpoly.localized import LocalizedRatio, divide_by_one_minus_lambda
 from posetpoly.polynomials import UniPoly
 
 LAM = UniPoly([0, 1])
@@ -29,7 +23,7 @@ def test_division_rejects_nondivisible():
 
 def test_normalize_cancels_shared_factor():
     # (1-λ)λ/(1-λ)^2 → λ/(1-λ)
-    r = localized_normalize(LocalizedRatio(ONE_MINUS * LAM, 2))
+    r = LocalizedRatio(ONE_MINUS * LAM, 2).normalize()
     assert r.numerator == LAM
     assert r.pole_order == 1
 
@@ -46,14 +40,14 @@ def test_normalize_idempotent():
 
 def test_add_example():
     # 1/(1-λ) + λ/(1-λ) = (1+λ)/(1-λ), no common factor left
-    r = localized_add(LocalizedRatio(UniPoly([1]), 1), LocalizedRatio(LAM, 1))
+    r = LocalizedRatio(UniPoly([1]), 1) + LocalizedRatio(LAM, 1)
     assert r.numerator == UniPoly([1, 1])
     assert r.pole_order == 1
 
 
 def test_mul_example():
     # λ/(1-λ) · (1-λ) = λ with pole order 0
-    r = localized_mul(LocalizedRatio(LAM, 1), LocalizedRatio(ONE_MINUS, 0))
+    r = LocalizedRatio(LAM, 1) * LocalizedRatio(ONE_MINUS, 0)
     assert r.numerator == LAM
     assert r.pole_order == 0
 

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction as Fr
+from math import factorial
 
 import pytest
 
-from posetpoly import invariants, omegagraph
+from posetpoly import omegagraph
 from posetpoly.bernoulli import strict_shrub
 from posetpoly.catalog import labeled_catalog, posets_up_to, standard_labelings
 from posetpoly.eulerian import eulerian_from_chains
 from posetpoly.invariants import phi
+from posetpoly.matrices import RatMatrix
 from posetpoly.omegagraph import (
     build_omega_graph,
     chain_polynomial,
@@ -89,12 +91,16 @@ def _sparse_poset(rng, n):
     return make_poset(n, covers)
 
 
-def _equivalence_inputs():
+def _small_inputs():
     for p in posets_up_to(5):
         for omega in standard_labelings(p):
             yield LabeledPoset(p, omega)
     for leaves in range(1, 9):
         yield strict_shrub(leaves)
+
+
+def _equivalence_inputs():
+    yield from _small_inputs()
     rng = random.Random(2003)
     for n in (10, 10, 11, 11, 12, 12):
         p = _sparse_poset(rng, n)
@@ -133,6 +139,41 @@ def test_path_counts_singleton_and_empty():
     assert count_paths(build_omega_graph(natural(make_antichain(0)))).c == (1,)
 
 
+def _stirling2(n):
+    """Row n of the Stirling numbers of the second kind, by S(m, k) =
+    k·S(m-1, k) + S(m-1, k-1)."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, m)] + [1]
+    return row
+
+
+def test_packed_counts_natural_antichain():
+    # every subset of a naturally labeled antichain is omega-natural, so paths
+    # of length k are ordered set partitions into k blocks: the widest digits
+    for n in range(13):
+        stirling = _stirling2(n)
+        expected = tuple(factorial(k) * stirling[k] for k in range(n + 1))
+        assert count_paths(build_omega_graph(natural(make_antichain(n)))).c == expected
+
+
+def _paths_by_matrix_powers(graph):
+    """c_k as the (source, sink) entry of A^k."""
+    adjacency = graph.adjacency()
+    power = RatMatrix.identity(len(graph.ideals))
+    counts = []
+    for _ in range(graph.labeled_poset.size + 1):
+        counts.append(power.entry(graph.source, graph.sink))
+        power = power * adjacency
+    return tuple(counts)
+
+
+def test_packed_counts_match_adjacency_powers():
+    for lp in _small_inputs():
+        g = build_omega_graph(lp)
+        assert count_paths(g).c == _paths_by_matrix_powers(g), lp
+
+
 def test_multipath_routes_agree():
     rng = random.Random(606)
     sample = labeled_catalog(3)
@@ -146,9 +187,8 @@ def test_multipath_routes_agree():
 
 @pytest.fixture
 def counted_builds(monkeypatch):
-    """Empty the shared slot and phi memo, and count graph builds."""
+    """Empty the shared slot and count graph builds."""
     monkeypatch.setattr(omegagraph, "_LAST_PATHS", None)
-    monkeypatch.setattr(invariants, "_PHI_MEMO", {})
     builds = []
     original = omegagraph.build_omega_graph
 
