@@ -8,8 +8,13 @@ companion etilde = e/(1-λ)^(|P|+1) generates the order polynomial values,
 sum_n Omega(n) λ^n.  That quotient is already in canonical form: e(1) = c_|P|
 counts the linear extensions, which is at least 1, so (1-λ) never divides
 e and no LocalizedRatio arithmetic is needed.  Both satisfy a recursion
-over complements of nonempty omega-natural ideals, which is implemented
+over complements of nonempty omega-natural ideals, implemented
 independently of the path-count assembly so the two can confirm each other.
+The localized one, etilde(P) = (λ/(1-λ)) Σ etilde(P\\S), is the plain one
+divided through by (1-λ)^(|P|+1), so one recursion serves both: it keeps the
+integer coefficients of e, e(P) = λ Σ (1-λ)^(|S|-1) e(P\\S), per poset class
+(records of classes with at most 5 elements are kept across calls, see
+invariants), and etilde is LocalizedRatio(e, |P|+1).
 
 The antichain specializations recover the classical Eulerian polynomials
 A_n, reachable here through four unrelated computations: poset path
@@ -24,15 +29,17 @@ from itertools import permutations
 from math import comb
 
 from posetpoly.localized import LocalizedRatio
-from posetpoly.invariants import order_poly_recursive
+from posetpoly.invariants import (
+    ClassRecord,
+    class_coordinates,
+    labeled_children,
+    labeled_record,
+    order_poly_recursive,
+    public_value,
+)
 from posetpoly.omegagraph import build_omega_graph, chain_polynomial, path_counts
 from posetpoly.polynomials import UniPoly
-from posetpoly.posets import (
-    LabeledPoset,
-    canonical_key,
-    induced_subposet,
-    omega_natural_ideals,
-)
+from posetpoly.posets import LabeledPoset
 
 __all__ = [
     "EulerianPair",
@@ -71,51 +78,51 @@ def eulerian_from_chains(lp: LabeledPoset) -> EulerianPair:
     return EulerianPair(e, LocalizedRatio(e, n + 1))
 
 
-_EULERIAN_MEMO: dict[tuple, UniPoly] = {}
+def _eulerian_step(size: int, children: list[tuple[object, int, int]]) -> tuple[int, ...]:
+    """Integer coefficients of e(P) = λ Σ (1-λ)^(|S|-1) e(P\\S): the children
+    are summed per removed size s, then Horner's rule in (1-λ) runs from the
+    largest s down, so multiplying by (1-λ) is one subtraction per entry."""
+    if size == 0:
+        return (1,)
+    by_removed: dict[int, list[int]] = {}
+    for coords, removed, mult in children:
+        total = by_removed.setdefault(removed, [0] * size)
+        for k, c in enumerate(coords):
+            total[k] += mult * c
+    acc = [0] * size  # the sum has degree below |P|
+    for removed in range(size, 0, -1):
+        total = by_removed.get(removed)
+        previous = 0
+        for k in range(size):
+            current = acc[k]
+            acc[k] = current - previous + (total[k] if total else 0)
+            previous = current
+    return (0, *acc)
+
+
+def _eulerian_value(lp: LabeledPoset) -> tuple[ClassRecord, UniPoly]:
+    table: dict[tuple, ClassRecord] = {}
+    record = labeled_record(lp, table)
+    coords = class_coordinates(record, "eulerian", _eulerian_step, labeled_children, table)
+    e = public_value(record, "eulerian_value", lambda: UniPoly(coords))
+    assert isinstance(e, UniPoly)
+    return record, e
 
 
 def eulerian_recursive(lp: LabeledPoset) -> UniPoly:
     """e by the recursion e(P) = λ Σ (1-λ)^(|S|-1) e(P\\S), S a nonempty
     omega-natural ideal; base e(∅) = 1."""
-    key = canonical_key(lp)
-    cached = _EULERIAN_MEMO.get(key)
-    if cached is not None:
-        return cached
-    if lp.size == 0:
-        result = UniPoly([1])
-    else:
-        full = lp.poset.full_mask
-        total = UniPoly()
-        for ideal in omega_natural_ideals(lp):
-            if ideal:
-                rest = eulerian_recursive(induced_subposet(lp, full & ~ideal))
-                total = total + ONE_MINUS_LAMBDA ** (ideal.bit_count() - 1) * rest
-        result = LAMBDA * total
-    _EULERIAN_MEMO[key] = result
-    return result
-
-
-_TILDE_MEMO: dict[tuple, LocalizedRatio] = {}
+    return _eulerian_value(lp)[1]
 
 
 def eulerian_tilde_recursive(lp: LabeledPoset) -> LocalizedRatio:
-    """etilde by the localized recursion etilde(P) = (λ/(1-λ)) Σ etilde(P\\S);
-    base etilde(∅) = 1/(1-λ)."""
-    key = canonical_key(lp)
-    cached = _TILDE_MEMO.get(key)
-    if cached is not None:
-        return cached
-    if lp.size == 0:
-        result = LocalizedRatio(UniPoly([1]), 1)
-    else:
-        full = lp.poset.full_mask
-        total = LocalizedRatio(UniPoly())
-        for ideal in omega_natural_ideals(lp):
-            if ideal:
-                total = total + eulerian_tilde_recursive(induced_subposet(lp, full & ~ideal))
-        result = LocalizedRatio(LAMBDA, 1) * total
-    _TILDE_MEMO[key] = result
-    return result
+    """etilde = e/(1-λ)^(|P|+1) from the same recursion: the localized
+    recursion etilde(P) = (λ/(1-λ)) Σ etilde(P\\S) with etilde(∅) = 1/(1-λ)
+    is that one divided through, and e(1) = c_|P| >= 1 keeps it canonical."""
+    record, e = _eulerian_value(lp)
+    value = public_value(record, "etilde_value", lambda: LocalizedRatio(e, lp.size + 1))
+    assert isinstance(value, LocalizedRatio)
+    return value
 
 
 def eulerian_series_check(lp: LabeledPoset, truncation: int) -> bool:

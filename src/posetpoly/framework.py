@@ -12,18 +12,37 @@ The quasi-symmetric carrier is a polynomial in x_1..x_N, stored as a map
 from exponent vectors to rational coefficients.  The shift operator S
 moves every variable up one slot, dropping whatever falls off the end;
 the building-block operator for m is sum_k x_k^m S^k.
+
+run_invariant evaluates any spec on its carrier, in Fractions; it is the
+independent route the checks compare the dedicated recursions against.
+qsym_recursive is the dedicated one: it keeps integer coefficients on the
+monomial quasi-symmetric basis, where the building-block operator for m
+prepends the part m to a composition, M_alpha -> M_((m) + alpha), and
+compositions with more than N parts drop.  Its class records are those of
+invariants, kept across calls for classes of at most 5 elements.
+qsym_direct enumerates maps and shares the oracle's budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import product
+from functools import cache, lru_cache
+from itertools import chain, combinations, product
 from math import comb
 from typing import Callable, Mapping
 
-from posetpoly.invariants import order_poly_recursive
+from posetpoly.invariants import (
+    ORACLE_BOUND_ENV,
+    SMALL_CLASS_MAX,
+    ClassRecord,
+    Step,
+    _oracle_bound,
+    class_coordinates,
+    labeled_children,
+    labeled_record,
+    order_poly_recursive,
+)
 from posetpoly.localized import LocalizedRatio
 from posetpoly.polynomials import RationalLike, UniPoly, _as_fraction, delta_inverse
 from posetpoly.posets import (
@@ -207,8 +226,15 @@ def lambda_operator(q: QSymTruncated, m: int) -> QSymTruncated:
 def qsym_direct(lp: LabeledPoset, nvars: int) -> QSymTruncated:
     """Sum the monomial of every order- and label-compatible map into
     {1..nvars}: weakly increasing along the order, strictly where the
-    label decreases."""
+    label decreases.  Like the order-polynomial oracle it is size-bounded:
+    with B the oracle bound it enumerates at most B^B maps."""
     n = lp.size
+    bound = _oracle_bound()
+    if nvars**n > bound**bound:
+        raise ValueError(
+            f"{nvars}^{n} maps exceed the enumeration budget {bound}^{bound}; "
+            f"set {ORACLE_BOUND_ENV} to raise it"
+        )
     if n == 0:
         return QSymTruncated.one(nvars)
     pairs = []
@@ -336,9 +362,77 @@ def qsym_spec(nvars: int) -> InvariantSpec:
     )
 
 
+def _composition_step(nvars: int) -> Step:
+    """Integer coefficients on the monomial quasi-symmetric basis M_alpha.
+
+    The coordinates are a flat tuple (mask, coefficient, mask, ...), where a
+    composition alpha of n is the mask of its partial sums below n (bit p
+    set when some leading parts add up to p), so the empty composition and
+    (n) are both 0 and alpha has bit_count + 1 parts when n > 0.  lambda_operator(M_alpha, m) = M_((m) + alpha): the removed size
+    becomes the first part, which sets bit m and moves the rest up by m.
+    M_alpha vanishes in nvars variables once alpha has more than nvars
+    parts, so those drop; a class of at most SMALL_CLASS_MAX elements keeps
+    every composition (at most 16), so its one entry serves every nvars.
+    """
+
+    def step(size: int, children: list[tuple[object, int, int]]) -> tuple[int, ...]:
+        if size == 0:
+            return (0, 1)
+        below = (nvars if size > SMALL_CLASS_MAX else size) - 1  # bits a child may carry
+        out: dict[int, int] = {}
+        for coords, removed, mult in children:
+            if removed == size:
+                out[0] = out.get(0, 0) + mult
+                continue
+            pairs = iter(coords)
+            for sums, c in zip(pairs, pairs):
+                if sums.bit_count() < below:
+                    key = (sums | 1) << removed
+                    out[key] = out.get(key, 0) + mult * c
+        return tuple(chain.from_iterable(out.items()))
+
+    return step
+
+
+@lru_cache(maxsize=256)
+def _monomials(sums: int, size: int, nvars: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent vectors of the monomials of M_alpha in nvars variables, alpha
+    the composition of size with partial-sum mask sums.  The bounded cache
+    lets every value that holds a vector share one tuple."""
+    cuts = [p for p in range(1, size) if (sums >> p) & 1]
+    alpha = [b - a for a, b in zip([0, *cuts], [*cuts, size])] if size else []
+    vectors = []
+    for slots in combinations(range(nvars), len(alpha)):
+        exps = [0] * nvars
+        for slot, part in zip(slots, alpha):
+            exps[slot] = part
+        vectors.append(tuple(exps))
+    return tuple(vectors)
+
+
+def _monomial_expansion(coords: tuple[int, ...], size: int, nvars: int) -> QSymTruncated:
+    """sum over alpha of coords[alpha]·M_alpha(x_1..x_nvars)."""
+    terms: dict[tuple[int, ...], Fraction] = {}
+    pairs = iter(coords)
+    for sums, c in zip(pairs, pairs):
+        coeff = _as_fraction(c)
+        for exps in _monomials(sums, size, nvars):
+            terms[exps] = coeff
+    return QSymTruncated(nvars, terms)
+
+
 def qsym_recursive(lp: LabeledPoset, nvars: int) -> QSymTruncated:
-    value = run_invariant(qsym_spec(nvars), lp)
-    assert isinstance(value, QSymTruncated)
+    """The quasi-symmetric recursion in integer composition coordinates."""
+    if nvars < 1:
+        raise ValueError("need at least one variable")
+    table: dict[tuple, ClassRecord] = {}
+    record = labeled_record(lp, table)
+    coords = class_coordinates(record, "qsym", _composition_step(nvars), labeled_children, table)
+    last = record.qsym_value  # a small class keeps the value of its latest nvars
+    if last is not None and last[0] == nvars:
+        return last[1]
+    value = _monomial_expansion(coords, lp.size, nvars)
+    record.qsym_value = (nvars, value)
     return value
 
 

@@ -14,6 +14,17 @@ Route 1 is the semantic definition and deliberately dumb; its size bound
 the n^|P| enumeration honest.  Routes 2 and 3 scale further and must agree
 with it exactly.
 
+Route 3 runs in integers.  In the binomial basis C(t,k) the inverse
+difference is an index shift, C(t,k) -> C(t,k+1), so Omega = sum_k c_k C(t,k)
+with c_0 = 0 for nonempty P and c_(k+1)(P) = sum of c_k(P \\ S) over the
+nonempty omega-natural ideals S; Fractions appear only when the public
+value is built.  This module also holds the engine the other integer
+recursions share (eulerian, framework, unlabeled): a ClassRecord per poset
+class with the coordinates and public value of each quantity.  Classes of
+at most SMALL_CLASS_MAX = 5 elements keep their record for the life of the
+process (at most 4,474 labeled classes); larger ones live in a table that
+is dropped when the public call returns.
+
 phi is the t-coefficient of the order polynomial, computed here from
 alternating path counts; the flag sums rebuild the whole polynomial from
 phi values of difference subposets.  phi keeps no memo of its own: it
@@ -32,11 +43,13 @@ from typing import Callable
 
 from posetpoly.matrices import PolyMatrix, matrix_exp_scaled, matrix_log_unipotent
 from posetpoly.omegagraph import OmegaGraph, build_omega_graph, path_counts
-from posetpoly.polynomials import UniPoly, delta_inverse, lagrange_interpolate
+from posetpoly.polynomials import UniPoly, from_binomial_basis, lagrange_interpolate
 from posetpoly.posets import (
     LabeledPoset,
+    Poset,
     canonical_key,
     enumerate_ideals,
+    induced_relation,
     induced_subposet,
     iter_bits,
     omega_natural_ideals,
@@ -143,26 +156,135 @@ def theta_subposet_check(lp: LabeledPoset) -> bool:
     return True
 
 
-_RECURSION_MEMO: dict[tuple, UniPoly] = {}
+SMALL_CLASS_MAX = 5
+"""Classes with at most this many elements keep one record across calls.
+
+There are 4,474 labeled classes on at most 5 points (1 + 1 + 3 + 19 + 219
++ 4,231 partial orders on a labeled set), so the tables of small records
+are bounded by construction; allowing 6 points would allow 130,023 more.
+"""
+
+Step = Callable[[int, list[tuple[object, int, int]]], object]
+Expand = Callable[[tuple, dict], list[tuple["ClassRecord", int, int]]]
+
+
+class ClassRecord:
+    """One poset class in an integer recursion: its key, the above masks of
+    a representative (so its size is len(key)), and, per quantity, the
+    integer coordinates and the public value computed so far (an unlabeled
+    class keeps its weak order polynomial in the omega slots).  Children are
+    not kept: each quantity expands a class once."""
+
+    __slots__ = (
+        "key",
+        "omega",
+        "eulerian",
+        "qsym",
+        "omega_value",
+        "eulerian_value",
+        "etilde_value",
+        "qsym_value",
+    )
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+        self.omega = self.eulerian = self.qsym = None
+        self.omega_value = self.eulerian_value = self.etilde_value = self.qsym_value = None
+
+
+def class_record(
+    key: tuple, small: dict[tuple, ClassRecord], table: dict[tuple, ClassRecord]
+) -> ClassRecord:
+    """The record of the class with this key: kept in small for the life of
+    the process when the class has at most SMALL_CLASS_MAX elements, else in
+    table, which the public call drops when it returns."""
+    memo = small if len(key) <= SMALL_CLASS_MAX else table
+    record = memo.get(key)
+    if record is None:
+        record = memo[key] = ClassRecord(key)
+    return record
+
+
+def class_coordinates(
+    record: ClassRecord, name: str, step: Step, expand: Expand, table: dict[tuple, ClassRecord]
+) -> object:
+    """The coordinates held in record's slot name, computed once per record
+    as step(size, [(child coordinates, removed size, multiplicity), ...])
+    over the children that expand lists."""
+    coords = getattr(record, name)
+    if coords is None:
+        coords = step(
+            len(record.key),
+            [
+                (class_coordinates(child, name, step, expand, table), removed, mult)
+                for child, removed, mult in expand(record.key, table)
+            ],
+        )
+        setattr(record, name, coords)
+    return coords
+
+
+def public_value(record: ClassRecord, name: str, build: Callable[[], object]) -> object:
+    """The value a public function returns, held in record's slot name: a
+    small class returns the same object on every call."""
+    value = getattr(record, name)
+    if value is None:
+        value = build()
+        setattr(record, name, value)
+    return value
+
+
+_SMALL_LABELED: dict[tuple, ClassRecord] = {}
+
+
+def labeled_record(lp: LabeledPoset, table: dict[tuple, ClassRecord]) -> ClassRecord:
+    return class_record(canonical_key(lp)[1], _SMALL_LABELED, table)
+
+
+def labeled_children(
+    key: tuple, table: dict[tuple, ClassRecord]
+) -> list[tuple[ClassRecord, int, int]]:
+    """The classes P \\ S for the nonempty omega-natural ideals S of the class.
+
+    A key lists the above masks in label order (canonical_key), so the
+    representative is labeled 1..n by index, every induced subposet keeps its
+    elements in label order, and the child's masks are already its key.
+    """
+    size = len(key)
+    rep = LabeledPoset(Poset(key), range(1, size + 1))
+    full = rep.poset.full_mask
+    counts: dict[tuple[ClassRecord, int], int] = {}
+    for ideal in omega_natural_ideals(rep):
+        if ideal:
+            removed = ideal.bit_count()
+            rest = induced_relation(rep.poset, full ^ ideal)
+            child = (class_record(rest, _SMALL_LABELED, table), removed)
+            counts[child] = counts.get(child, 0) + 1
+    return [(child, removed, mult) for (child, removed), mult in counts.items()]
+
+
+def binomial_step(size: int, children: list[tuple[object, int, int]]) -> tuple[int, ...]:
+    """Binomial coordinates of an order polynomial, Omega = sum_k c_k C(t,k):
+    Delta^-1 shifts C(t,k) to C(t,k+1), so c_0 = 0 for a nonempty class and
+    c_(k+1)(P) = sum over the children of c_k(child)."""
+    if size == 0:
+        return (1,)
+    total = [0] * (size + 1)
+    for coords, _, mult in children:
+        for k, c in enumerate(coords, 1):
+            total[k] += mult * c
+    return tuple(total)
 
 
 def order_poly_recursive(lp: LabeledPoset) -> UniPoly:
-    """Inverse-difference recursion over complements of omega-natural ideals."""
-    key = canonical_key(lp)
-    cached = _RECURSION_MEMO.get(key)
-    if cached is not None:
-        return cached
-    if lp.size == 0:
-        result = UniPoly([1])
-    else:
-        full = lp.poset.full_mask
-        total = UniPoly()
-        for ideal in omega_natural_ideals(lp):
-            if ideal:
-                total = total + order_poly_recursive(induced_subposet(lp, full & ~ideal))
-        result = delta_inverse(total)
-    _RECURSION_MEMO[key] = result
-    return result
+    """Inverse-difference recursion over complements of omega-natural ideals,
+    in integer binomial coordinates."""
+    table: dict[tuple, ClassRecord] = {}
+    record = labeled_record(lp, table)
+    coords = class_coordinates(record, "omega", binomial_step, labeled_children, table)
+    value = public_value(record, "omega_value", lambda: from_binomial_basis(coords))
+    assert isinstance(value, UniPoly)
+    return value
 
 
 def phi(lp: LabeledPoset) -> Fraction:

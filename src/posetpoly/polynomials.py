@@ -23,6 +23,7 @@ __all__ = [
     "binomial_poly",
     "delta",
     "delta_inverse",
+    "from_binomial_basis",
     "nabla",
     "nabla_inverse",
     "lagrange_interpolate",
@@ -31,10 +32,19 @@ __all__ = [
 RationalLike = int | Fraction
 
 
+_SMALL = 256
+_SMALL_INTEGERS = tuple(Fraction(k) for k in range(-_SMALL, _SMALL + 1))
+
+
 def _as_fraction(value: RationalLike) -> Fraction:
+    """value as a Fraction; the integers up to _SMALL in size share one
+    immutable Fraction each, so the integer coefficients of many results
+    cost no memory of their own."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
+        if -_SMALL <= value <= _SMALL:
+            return _SMALL_INTEGERS[value + _SMALL]
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -203,6 +213,30 @@ def binomial_poly(k: int) -> UniPoly:
     for j in range(k):
         prod = prod * UniPoly((-j, 1))
     return prod * Fraction(1, factorial(k))
+
+
+def from_binomial_basis(coords: Sequence[int]) -> UniPoly:
+    """The polynomial sum_k coords[k]·C(t,k) from integer coordinates.
+
+    C(t,k) = t(t-1)...(t-k+1)/k!, so over the common denominator d! (d the
+    last index) every numerator is an integer; Fractions appear only in the
+    returned coefficients.
+    """
+    d = len(coords) - 1
+    numerators = [0] * (d + 1)
+    falling = [1]  # ascending coefficients of t(t-1)...(t-k+1)
+    den = scale = factorial(max(d, 0))  # scale is d!/k!
+    for k, c in enumerate(coords):
+        if k:
+            falling = [0, *falling]
+            for j in range(k):
+                falling[j] -= (k - 1) * falling[j + 1]
+            scale //= k
+        if c:
+            for j, f in enumerate(falling):
+                numerators[j] += c * scale * f
+    # an integral coefficient goes in as an int, to share _SMALL_INTEGERS
+    return UniPoly([x // den if x % den == 0 else Fraction(x, den) for x in numerators])
 
 
 def delta(p: UniPoly) -> UniPoly:

@@ -25,10 +25,9 @@ __all__ = [
     "make_shrub",
     "natural_labeling",
     "reversed_labeling",
-    "is_omega_natural",
     "enumerate_ideals",
     "omega_natural_ideals",
-    "minimum_elements",
+    "induced_relation",
     "induced_poset",
     "induced_subposet",
     "canonicalize",
@@ -209,11 +208,6 @@ class LabeledPoset:
         return f"LabeledPoset({self.poset!r}, {self.omega!r})"
 
 
-def is_omega_natural(lp: LabeledPoset, subset: int) -> bool:
-    """True when omega restricted to subset is order-preserving."""
-    return lp.is_omega_natural(subset)
-
-
 def enumerate_ideals(p: Poset) -> list[int]:
     """All down-closed subsets as masks, sorted by (cardinality, mask).
 
@@ -235,38 +229,41 @@ def enumerate_ideals(p: Poset) -> list[int]:
 
 
 def omega_natural_ideals(lp: LabeledPoset) -> list[int]:
-    return [ideal for ideal in enumerate_ideals(lp.poset) if lp.is_omega_natural(ideal)]
+    """The ideals on which omega is order-preserving.  An ideal holds all of
+    a member's lower set, so these are exactly the ideals that avoid every
+    element with a larger-labeled element below it."""
+    violated = 0
+    for mask in lp._violators:
+        violated |= mask
+    return [ideal for ideal in enumerate_ideals(lp.poset) if not ideal & violated]
 
 
-def minimum_elements(p: Poset) -> int:
-    return p.minimum_elements()
+def induced_relation(p: Poset, subset: int) -> tuple[int, ...]:
+    """The above masks of the sub-poset on subset, elements reindexed in
+    mask order.  Each mask is compressed by closing the gap of every
+    removed element, highest first, so the cost grows with what is removed."""
+    gaps = [(1 << r) - 1 for r in range(p.size - 1, -1, -1) if not (subset >> r) & 1]
+    masks = []
+    for e, above in enumerate(p.above):
+        if (subset >> e) & 1:
+            mask = above & subset
+            for low in gaps:
+                if mask > low:
+                    mask = (mask & low) | ((mask >> 1) & ~low)
+            masks.append(mask)
+    return tuple(masks)
 
 
 def induced_poset(p: Poset, subset: int) -> Poset:
     """The bare sub-poset on subset, elements reindexed in mask order."""
-    elements = list(iter_bits(subset))
-    position = {e: k for k, e in enumerate(elements)}
-    above = []
-    for e in elements:
-        mask = 0
-        for y in iter_bits(p.above[e] & subset):
-            mask |= 1 << position[y]
-        above.append(mask)
-    return Poset(above)
+    return Poset(induced_relation(p, subset))
 
 
 def induced_subposet(lp: LabeledPoset, subset: int) -> LabeledPoset:
     """The labeled sub-poset on subset, labels collapsed to ranks 1..|S|."""
-    elements = list(iter_bits(subset))
-    position = {e: k for k, e in enumerate(elements)}
-    above = []
-    for e in elements:
-        mask = 0
-        for y in iter_bits(lp.poset.above[e] & subset):
-            mask |= 1 << position[y]
-        above.append(mask)
-    ranks = {label: r for r, label in enumerate(sorted(lp.omega[e] for e in elements), 1)}
-    return LabeledPoset(Poset(above), tuple(ranks[lp.omega[e]] for e in elements))
+    labels = [lp.omega[e] for e in iter_bits(subset)]
+    ranks = {label: r for r, label in enumerate(sorted(labels), 1)}
+    return LabeledPoset(induced_poset(lp.poset, subset), tuple(ranks[label] for label in labels))
 
 
 def canonicalize(lp: LabeledPoset) -> LabeledPoset:

@@ -10,6 +10,13 @@ A third route computes the sign-twisted weak polynomial from the
 minimal-subsets recursion with a backward-difference inverse; together
 with the reflection identity between the weak and strict polynomials it
 gives an end-to-end consistency check.
+
+run_unlabeled evaluates any spec in Fractions, with one memo per spec.
+order_poly_unlabeled runs the ideals recursion in integers instead: in the
+binomial basis Delta^-1 is an index shift, so each isomorphism class keeps
+c_0 = 0 (nonempty) and c_(k+1)(P) = sum over the nonempty ideals S of
+c_k(P \\ S), and classes of at most 5 elements keep their record across
+calls (see invariants).
 """
 
 from __future__ import annotations
@@ -17,11 +24,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Literal
 
-from posetpoly.polynomials import UniPoly, delta_inverse, nabla_inverse
+from posetpoly.invariants import (
+    SMALL_CLASS_MAX,
+    ClassRecord,
+    binomial_step,
+    class_coordinates,
+    class_record,
+    public_value,
+)
+from posetpoly.polynomials import UniPoly, delta_inverse, from_binomial_basis, nabla_inverse
 from posetpoly.posets import (
     Poset,
     enumerate_ideals,
     induced_poset,
+    induced_relation,
     unlabeled_canonical_key,
 )
 
@@ -74,7 +90,7 @@ def run_unlabeled(
 ) -> UniPoly:
     """Evaluate the recursion; pass a fresh memo to isolate a run."""
     if memo is None:
-        memo = _SHARED_MEMOS.setdefault(spec.name, {})
+        memo = _SHARED_MEMOS.setdefault(spec, {})
     key = unlabeled_canonical_key(p)
     cached = memo.get(key)
     if cached is not None:
@@ -92,7 +108,7 @@ def run_unlabeled(
     return value
 
 
-_SHARED_MEMOS: dict[str, dict[object, UniPoly]] = {}
+_SHARED_MEMOS: dict[UnlabeledInvariantSpec, dict[object, UniPoly]] = {}
 
 _WEAK_SPEC = UnlabeledInvariantSpec(
     name="weak",
@@ -116,9 +132,45 @@ _SIGNED_SPEC = UnlabeledInvariantSpec(
 )
 
 
+_SMALL_UNLABELED: dict[tuple, ClassRecord] = {}
+
+
+def _weak_record(relation: tuple[int, ...], table: dict[tuple, ClassRecord]) -> ClassRecord:
+    """The record of the poset with these above masks.  The masks themselves
+    are kept as a second key, so the canonical key is computed once per
+    distinct relation; small relations are labeled posets on at most
+    SMALL_CLASS_MAX points, so that table stays bounded too."""
+    memo = _SMALL_UNLABELED if len(relation) <= SMALL_CLASS_MAX else table
+    record = memo.get(relation)
+    if record is None:
+        key = unlabeled_canonical_key(Poset(relation))[1]
+        record = memo[relation] = class_record(key, _SMALL_UNLABELED, table)
+    return record
+
+
+def _weak_children(
+    key: tuple, table: dict[tuple, ClassRecord]
+) -> list[tuple[ClassRecord, int, int]]:
+    """The isomorphism classes P \\ S for the nonempty ideals S."""
+    rep = Poset(key)
+    full = rep.full_mask
+    counts: dict[tuple[ClassRecord, int], int] = {}
+    for ideal in enumerate_ideals(rep):
+        if ideal:
+            child = (_weak_record(induced_relation(rep, full ^ ideal), table), ideal.bit_count())
+            counts[child] = counts.get(child, 0) + 1
+    return [(child, removed, mult) for (child, removed), mult in counts.items()]
+
+
 def order_poly_unlabeled(p: Poset) -> UniPoly:
-    """Count of order-preserving maps into the t-chain, as a polynomial."""
-    return run_unlabeled(_WEAK_SPEC, p)
+    """Count of order-preserving maps into the t-chain, as a polynomial:
+    the ideals recursion in integer binomial coordinates."""
+    table: dict[tuple, ClassRecord] = {}
+    record = _weak_record(p.above, table)
+    coords = class_coordinates(record, "omega", binomial_step, _weak_children, table)
+    value = public_value(record, "omega_value", lambda: from_binomial_basis(coords))
+    assert isinstance(value, UniPoly)
+    return value
 
 
 def strict_order_poly(p: Poset) -> UniPoly:

@@ -167,6 +167,14 @@ def test_qsym_routes_agree(poset_file, capsys):
     assert recursive == direct
 
 
+def test_qsym_direct_refuses_oversized_enumeration(poset_file, capsys):
+    path = poset_file("elements: 9\n")
+    code, out, err = run_cli(["qsym", path, "--vars", "50"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "POSET_ORACLE_MAX" in err
+
+
 def test_invariant_specs(poset_file, capsys):
     path = poset_file(CHAIN)
     code, out, _ = run_cli(["invariant", path, "--spec", "omega"], capsys)

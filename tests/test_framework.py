@@ -20,7 +20,7 @@ from posetpoly.framework import (
     run_invariant,
     shift_operator,
 )
-from posetpoly.invariants import order_poly_recursive
+from posetpoly.invariants import ORACLE_BOUND_ENV, order_poly_recursive
 from posetpoly.localized import LocalizedRatio
 from posetpoly.polynomials import UniPoly, delta_inverse
 from posetpoly.posets import (
@@ -124,6 +124,19 @@ def test_direct_enumeration_pinned():
         2, {(2, 0): 1, (1, 1): 1, (0, 2): 1}
     )
     assert qsym_direct(strict(make_chain(2)), 2) == QSymTruncated(2, {(1, 1): 1})
+
+
+def test_direct_enumeration_budget(monkeypatch):
+    # default bound 7: 8^7 maps exceed 7^7, and the refusal comes before any map
+    with pytest.raises(ValueError, match=ORACLE_BOUND_ENV):
+        qsym_direct(natural(make_antichain(7)), 8)
+    monkeypatch.setenv(ORACLE_BOUND_ENV, "2")
+    chain = natural(make_chain(2))
+    assert qsym_direct(chain, 2) == qsym_recursive(chain, 2)  # 2^2 = 2^2 maps
+    with pytest.raises(ValueError, match=ORACLE_BOUND_ENV):
+        qsym_direct(chain, 3)  # 3^2 > 2^2
+    with pytest.raises(ValueError, match=ORACLE_BOUND_ENV):
+        qsym_direct(natural(make_chain(3)), 2)  # 2^3 > 2^2
 
 
 def test_recursion_matches_direct_enumeration():

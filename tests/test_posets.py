@@ -9,14 +9,12 @@ from posetpoly.posets import (
     canonicalize,
     enumerate_ideals,
     induced_subposet,
-    is_omega_natural,
     iter_bits,
     linear_extension,
     make_antichain,
     make_chain,
     make_poset,
     make_shrub,
-    minimum_elements,
     natural_labeling,
     omega_natural_ideals,
     reversed_labeling,
@@ -131,7 +129,7 @@ def test_natural_labeling_makes_everything_natural():
     for _ in range(15):
         p = random_poset(rng, rng.randint(0, 6))
         lp = LabeledPoset(p, natural_labeling(p))
-        assert all(is_omega_natural(lp, s) for s in all_subsets(p.size))
+        assert all(lp.is_omega_natural(s) for s in all_subsets(p.size))
 
 
 def test_strict_labeling_natural_iff_antichain():
@@ -140,14 +138,14 @@ def test_strict_labeling_natural_iff_antichain():
         p = random_poset(rng, rng.randint(0, 5))
         lp = LabeledPoset(p, reversed_labeling(p))
         for s in all_subsets(p.size):
-            assert is_omega_natural(lp, s) == p.is_antichain_set(s)
+            assert lp.is_omega_natural(s) == p.is_antichain_set(s)
 
 
 def test_inverted_two_chain_not_natural():
     lp = LabeledPoset(make_chain(2), (2, 1))
-    assert not is_omega_natural(lp, 0b11)
-    assert is_omega_natural(lp, 0b01)
-    assert is_omega_natural(lp, 0)
+    assert not lp.is_omega_natural(0b11)
+    assert lp.is_omega_natural(0b01)
+    assert lp.is_omega_natural(0)
 
 
 # --- ideals ---
@@ -209,9 +207,9 @@ def test_omega_natural_ideals():
 
 
 def test_minimum_elements():
-    assert minimum_elements(make_chain(4)) == 0b0001
-    assert minimum_elements(make_antichain(3)) == 0b111
-    assert minimum_elements(make_shrub(2)) == 0b001
+    assert make_chain(4).minimum_elements() == 0b0001
+    assert make_antichain(3).minimum_elements() == 0b111
+    assert make_shrub(2).minimum_elements() == 0b001
 
 
 def test_induced_subposet_drops_root():

@@ -4,7 +4,7 @@ import pytest
 
 from posetpoly.catalog import posets_up_to
 from posetpoly.invariants import order_poly_recursive
-from posetpoly.polynomials import UniPoly
+from posetpoly.polynomials import UniPoly, delta_inverse
 from posetpoly.posets import (
     LabeledPoset,
     iter_bits,
@@ -19,6 +19,7 @@ from posetpoly.unlabeled import (
     count_subcalls,
     order_poly_unlabeled,
     reciprocity_check,
+    run_unlabeled,
     signed_order_poly_nabla,
     strict_order_poly,
     strict_value_at_one_check,
@@ -133,3 +134,17 @@ def test_spec_validation():
         UnlabeledInvariantSpec(
             name="bad", base=UniPoly([1]), operator=lambda v: v, flavor="nope"
         )
+
+
+def test_specs_sharing_a_name_do_not_share_values():
+    chain = make_chain(2)
+    weak = UnlabeledInvariantSpec(
+        name="weak", base=UniPoly([1]), operator=delta_inverse, flavor="ideals"
+    )
+    doubled = UnlabeledInvariantSpec(
+        name="weak", base=UniPoly([1]), operator=lambda v: 2 * delta_inverse(v), flavor="ideals"
+    )
+    assert order_poly_unlabeled(chain) == UniPoly([0, HALF, HALF])
+    assert run_unlabeled(weak, chain) == UniPoly([0, HALF, HALF])
+    assert run_unlabeled(doubled, chain) == UniPoly([0, 0, 2])
+    assert run_unlabeled(weak, chain) == UniPoly([0, HALF, HALF])
