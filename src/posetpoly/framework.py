@@ -397,8 +397,11 @@ def _composition_step(nvars: int) -> Step:
 @lru_cache(maxsize=256)
 def _monomials(sums: int, size: int, nvars: int) -> tuple[tuple[int, ...], ...]:
     """Exponent vectors of the monomials of M_alpha in nvars variables, alpha
-    the composition of size with partial-sum mask sums.  The bounded cache
-    lets every value that holds a vector share one tuple."""
+    the composition of size with partial-sum mask sums.  The cache lets
+    every value that holds a vector share one tuple.  Its keys are the
+    compositions a value can hold: 2,100 deep-recursion queries (3
+    variables, 8-10 points) use 109 of them and catalog-sweep 32, so 256
+    keeps them all while bounding what other sizes can add."""
     cuts = [p for p in range(1, size) if (sums >> p) & 1]
     alpha = [b - a for a, b in zip([0, *cuts], [*cuts, size])] if size else []
     vectors = []

@@ -145,13 +145,14 @@ def theta_subposet_check(lp: LabeledPoset) -> bool:
     """Every Theta entry is the order polynomial of its difference subposet."""
     theta = theta_matrix(lp)
     ideals = theta.graph.ideals
+    table: dict[tuple, ClassRecord] = {}
     for i, small in enumerate(ideals):
         for j, big in enumerate(ideals):
             value = theta.entry(i, j)
             if small & big != small:
                 if value:
                     return False
-            elif value != order_poly_recursive(induced_subposet(lp, big & ~small)):
+            elif value != _order_poly(induced_subposet(lp, big & ~small), table):
                 return False
     return True
 
@@ -279,7 +280,13 @@ def binomial_step(size: int, children: list[tuple[object, int, int]]) -> tuple[i
 def order_poly_recursive(lp: LabeledPoset) -> UniPoly:
     """Inverse-difference recursion over complements of omega-natural ideals,
     in integer binomial coordinates."""
-    table: dict[tuple, ClassRecord] = {}
+    return _order_poly(lp, {})
+
+
+def _order_poly(lp: LabeledPoset, table: dict[tuple, ClassRecord]) -> UniPoly:
+    """order_poly_recursive with the caller's table of large classes: the
+    identity checks below ask for many subposets of one poset, and a shared
+    table expands each class of more than SMALL_CLASS_MAX elements once."""
     record = labeled_record(lp, table)
     coords = class_coordinates(record, "omega", binomial_step, labeled_children, table)
     value = public_value(record, "omega_value", lambda: from_binomial_basis(coords))
@@ -303,16 +310,17 @@ def convolution_check(lp: LabeledPoset) -> bool:
     """Omega(s+t) = sum over all ideals S of Omega(S;s)·Omega(P\\S;t),
     compared as genuine bivariate polynomials."""
     full = lp.poset.full_mask
+    table: dict[tuple, ClassRecord] = {}
     lhs: dict[tuple[int, int], Fraction] = {}
-    for k, c in enumerate(order_poly_recursive(lp).coeffs):
+    for k, c in enumerate(_order_poly(lp, table).coeffs):
         for i in range(k + 1):
             key = (i, k - i)
             lhs[key] = lhs.get(key, Fraction(0)) + c * comb(k, i)
     rhs: dict[tuple[int, int], Fraction] = {}
     graph = build_omega_graph(lp)
     for ideal in graph.ideals:
-        left = order_poly_recursive(induced_subposet(lp, ideal))
-        right = order_poly_recursive(induced_subposet(lp, full & ~ideal))
+        left = _order_poly(induced_subposet(lp, ideal), table)
+        right = _order_poly(induced_subposet(lp, full & ~ideal), table)
         for i, a in enumerate(left.coeffs):
             for j, b in enumerate(right.coeffs):
                 rhs[(i, j)] = rhs.get((i, j), Fraction(0)) + a * b
@@ -383,7 +391,8 @@ def omega_from_phi(lp: LabeledPoset) -> UniPoly:
 def derivative_identity_check(lp: LabeledPoset) -> bool:
     """dOmega/dt equals the phi-weighted convolutions, in both mirror forms."""
     full = lp.poset.full_mask
-    target = order_poly_recursive(lp).derivative()
+    table: dict[tuple, ClassRecord] = {}
+    target = _order_poly(lp, table).derivative()
     graph = build_omega_graph(lp)
     phi_of = _phi_per_class(lp)
     front = UniPoly()
@@ -391,7 +400,7 @@ def derivative_identity_check(lp: LabeledPoset) -> bool:
     for ideal in graph.ideals:
         rest = full & ~ideal
         if ideal:
-            front = front + phi_of(ideal) * order_poly_recursive(induced_subposet(lp, rest))
+            front = front + phi_of(ideal) * _order_poly(induced_subposet(lp, rest), table)
         if ideal != full:
-            back = back + phi_of(rest) * order_poly_recursive(induced_subposet(lp, ideal))
+            back = back + phi_of(rest) * _order_poly(induced_subposet(lp, ideal), table)
     return front == target and back == target

@@ -32,6 +32,12 @@ __all__ = [
 RationalLike = int | Fraction
 
 
+# Integers up to _SMALL in size share one Fraction each.  Nearly every
+# integral coefficient is that small: on the benchmark's deep-recursion and
+# catalog-sweep streams 97.5% and 98.9% of the integers converted here, and
+# 94% of the e coefficients and all qsym coefficients kept in deep-recursion
+# answers.  A bound of 1024 would catch 99.98% for a table four times the
+# size (about 100 KB instead of 25 KB).
 _SMALL = 256
 _SMALL_INTEGERS = tuple(Fraction(k) for k in range(-_SMALL, _SMALL + 1))
 

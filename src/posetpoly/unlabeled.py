@@ -138,8 +138,14 @@ _SMALL_UNLABELED: dict[tuple, ClassRecord] = {}
 def _weak_record(relation: tuple[int, ...], table: dict[tuple, ClassRecord]) -> ClassRecord:
     """The record of the poset with these above masks.  The masks themselves
     are kept as a second key, so the canonical key is computed once per
-    distinct relation; small relations are labeled posets on at most
-    SMALL_CLASS_MAX points, so that table stays bounded too."""
+    distinct relation (without it deep-recursion queries take twice as
+    long); small relations are labeled posets on at most SMALL_CLASS_MAX
+    points, so that table stays bounded too.
+
+    Raw relations and canonical keys share one table.  That is sound only
+    because the canonical form is idempotent: a relation that equals some
+    canonical key is that key's own canonical form, so both meanings of
+    the entry name the same class."""
     memo = _SMALL_UNLABELED if len(relation) <= SMALL_CLASS_MAX else table
     record = memo.get(relation)
     if record is None:

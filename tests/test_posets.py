@@ -293,3 +293,13 @@ def test_unlabeled_canonical_key_invariant_under_permutation():
             for j in iter_bits(p.above[i]):
                 above[perm[i]] |= 1 << perm[j]
         assert unlabeled_canonical_key(p) == unlabeled_canonical_key(Poset(above))
+
+
+def test_unlabeled_canonical_relation_is_its_own_canonical_form():
+    # the weak-polynomial recursion keys raw relations and canonical
+    # relations in one table, which is sound only under this idempotence
+    rng = random.Random(12)
+    for _ in range(40):
+        p = random_poset(rng, rng.randint(0, 8))
+        relation = unlabeled_canonical_key(p)[1]
+        assert unlabeled_canonical_key(Poset(relation))[1] == relation
