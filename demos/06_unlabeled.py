@@ -1,10 +1,11 @@
 """Bare posets: weak and strict counts trade places under reflection.
 
 Without labels there are two classical polynomials: maps that respect
-the order weakly, and maps that respect it strictly.  Each satisfies a
-recursion of its own; the strict one only ever peels minimal elements,
-which keeps the subproblem tree far smaller.  Reflecting the argument
-swaps the two, up to a sign.
+the order weakly, and maps that respect it strictly.  Each is the order
+polynomial of a labeling, a natural one for the weak count and a strict
+one for the strict count.  Under the strict labeling the recursion only
+ever peels minimal elements, which keeps the subproblem tree far smaller.
+Reflecting the argument swaps the two, up to a sign.
 """
 
 from posetpoly import (

@@ -265,15 +265,16 @@ def check_qsym(max_size: int, max_vars: int = 5) -> tuple[bool, str]:
 
 
 def check_unlabeled(max_size: int) -> tuple[bool, str]:
-    """Unlabeled recursions against labeled routes, reflection identity,
-    sign-twisted route, endpoint characterizations, and the subcall bound."""
+    """Unlabeled routes against the Fraction recursion of run_invariant on the
+    natural and strict labelings, reflection identity, sign-twisted route,
+    endpoint characterizations, and the subcall bound."""
     cases = 0
     for p in posets_up_to(max_size):
         weak = order_poly_unlabeled(p)
         strict = strict_order_poly(p)
-        if weak != order_poly_recursive(LabeledPoset(p, natural_labeling(p))):
+        if weak != run_invariant(omega_spec(), LabeledPoset(p, natural_labeling(p))):
             return False, f"weak route differs on {p!r}"
-        if strict != order_poly_recursive(LabeledPoset(p, reversed_labeling(p))):
+        if strict != run_invariant(omega_spec(), LabeledPoset(p, reversed_labeling(p))):
             return False, f"strict route differs on {p!r}"
         sign = -1 if p.size % 2 else 1
         if signed_order_poly_nabla(p) != sign * weak:

@@ -31,6 +31,7 @@ from posetpoly.eulerian import (
     eulerian_tilde_recursive,
 )
 from posetpoly.framework import (
+    QSymTruncated,
     etilde_spec,
     eulerian_spec,
     omega_spec,
@@ -135,6 +136,20 @@ def _poly_body(poly: UniPoly) -> dict:
     return {"coefficients": [_fraction_string(c) for c in poly.coeffs]}
 
 
+def _etilde_body(etilde: LocalizedRatio) -> dict:
+    return {
+        "numerator": [_fraction_string(c) for c in etilde.numerator.coeffs],
+        "pole_order": etilde.pole_order,
+    }
+
+
+def _qsym_terms(value: QSymTruncated) -> list[dict]:
+    return [
+        {"exponents": list(exps), "coefficient": _fraction_string(coeff)}
+        for exps, coeff in value.terms()
+    ]
+
+
 def _cmd_ideals(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     lp = _read_poset(args)
@@ -204,13 +219,7 @@ def _cmd_eulerian(args: argparse.Namespace) -> int:
     else:
         pair = eulerian_from_chains(lp)
         e, etilde = pair.e, pair.etilde
-    body = {
-        "coefficients": [_fraction_string(c) for c in e.coeffs],
-        "etilde": {
-            "numerator": [_fraction_string(c) for c in etilde.numerator.coeffs],
-            "pole_order": etilde.pole_order,
-        },
-    }
+    body = {**_poly_body(e), "etilde": _etilde_body(etilde)}
     plain = f"e: {e.render('λ')}\netilde: {etilde.render('λ')}"
     return _emit(args, _document(lp, "eulerian", body, started), plain)
 
@@ -248,13 +257,7 @@ def _cmd_qsym(args: argparse.Namespace) -> int:
     lp = _read_poset(args)
     route = qsym_recursive if args.route == "recursive" else qsym_direct
     value = route(lp, args.vars)
-    body = {
-        "variables": args.vars,
-        "terms": [
-            {"exponents": list(exps), "coefficient": _fraction_string(coeff)}
-            for exps, coeff in value.terms()
-        ],
-    }
+    body = {"variables": args.vars, "terms": _qsym_terms(value)}
     return _emit(args, _document(lp, "qsym", body, started), value.render())
 
 
@@ -274,23 +277,14 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     elif name == "etilde":
         value = run_invariant(etilde_spec(), lp)
         assert isinstance(value, LocalizedRatio)
-        body = {
-            "numerator": [_fraction_string(c) for c in value.numerator.coeffs],
-            "pole_order": value.pole_order,
-        }
-        plain = value.render("λ")
+        body, plain = _etilde_body(value), value.render("λ")
     else:
         match = _SPEC_PATTERN.match(name)
         if match is None or int(match.group(1)) < 1:
             raise ValueError(f"unknown invariant spec {name!r}")
         value = run_invariant(qsym_spec(int(match.group(1))), lp)
-        body = {
-            "terms": [
-                {"exponents": list(exps), "coefficient": _fraction_string(coeff)}
-                for exps, coeff in value.terms()
-            ]
-        }
-        plain = value.render()
+        assert isinstance(value, QSymTruncated)
+        body, plain = {"terms": _qsym_terms(value)}, value.render()
     return _emit(args, _document(lp, f"invariant/{name}", body, started), plain)
 
 

@@ -32,7 +32,6 @@ from posetpoly.localized import LocalizedRatio
 from posetpoly.invariants import (
     ClassRecord,
     class_coordinates,
-    labeled_children,
     labeled_record,
     order_poly_recursive,
     public_value,
@@ -103,7 +102,7 @@ def _eulerian_step(size: int, children: list[tuple[object, int, int]]) -> tuple[
 def _eulerian_value(lp: LabeledPoset) -> tuple[ClassRecord, UniPoly]:
     table: dict[tuple, ClassRecord] = {}
     record = labeled_record(lp, table)
-    coords = class_coordinates(record, "eulerian", _eulerian_step, labeled_children, table)
+    coords = class_coordinates(record, "eulerian", _eulerian_step, table)
     e = public_value(record, "eulerian_value", lambda: UniPoly(coords))
     assert isinstance(e, UniPoly)
     return record, e

@@ -20,7 +20,9 @@ monomial quasi-symmetric basis, where the building-block operator for m
 prepends the part m to a composition, M_alpha -> M_((m) + alpha), and
 compositions with more than N parts drop.  Its class records are those of
 invariants, kept across calls for classes of at most 5 elements.
-qsym_direct enumerates maps and shares the oracle's budget.
+qsym_direct enumerates maps and shares the oracle's budget; qsym_recursive
+counts its monomials before it expands them and refuses more than that
+budget too.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from posetpoly.invariants import (
     Step,
     _oracle_bound,
     class_coordinates,
-    labeled_children,
     labeled_record,
     order_poly_recursive,
 )
@@ -424,13 +425,31 @@ def _monomial_expansion(coords: tuple[int, ...], size: int, nvars: int) -> QSymT
     return QSymTruncated(nvars, terms)
 
 
+def _check_monomial_budget(coords: tuple[int, ...], size: int, nvars: int) -> None:
+    """Refuse an expansion into more than B^B monomials, B the oracle bound:
+    M_alpha has C(nvars, parts of alpha) of them."""
+    bound = _oracle_bound()
+    pairs = iter(coords)
+    count = sum(
+        comb(nvars, sums.bit_count() + 1 if size else 0) for sums, c in zip(pairs, pairs) if c
+    )
+    if count > bound**bound:
+        raise ValueError(
+            f"{count} monomials in {nvars} variables exceed the enumeration budget "
+            f"{bound}^{bound}; set {ORACLE_BOUND_ENV} to raise it"
+        )
+
+
 def qsym_recursive(lp: LabeledPoset, nvars: int) -> QSymTruncated:
-    """The quasi-symmetric recursion in integer composition coordinates."""
+    """The quasi-symmetric recursion in integer composition coordinates.
+    Like qsym_direct it is bounded: with B the oracle bound it expands at
+    most B^B monomials."""
     if nvars < 1:
         raise ValueError("need at least one variable")
     table: dict[tuple, ClassRecord] = {}
     record = labeled_record(lp, table)
-    coords = class_coordinates(record, "qsym", _composition_step(nvars), labeled_children, table)
+    coords = class_coordinates(record, "qsym", _composition_step(nvars), table)
+    _check_monomial_budget(coords, lp.size, nvars)
     last = record.qsym_value  # a small class keeps the value of its latest nvars
     if last is not None and last[0] == nvars:
         return last[1]

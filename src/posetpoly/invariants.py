@@ -19,11 +19,13 @@ difference is an index shift, C(t,k) -> C(t,k+1), so Omega = sum_k c_k C(t,k)
 with c_0 = 0 for nonempty P and c_(k+1)(P) = sum of c_k(P \\ S) over the
 nonempty omega-natural ideals S; Fractions appear only when the public
 value is built.  This module also holds the engine the other integer
-recursions share (eulerian, framework, unlabeled): a ClassRecord per poset
-class with the coordinates and public value of each quantity.  Classes of
-at most SMALL_CLASS_MAX = 5 elements keep their record for the life of the
-process (at most 4,474 labeled classes); larger ones live in a table that
-is dropped when the public call returns.
+recursions share (eulerian for e and etilde, framework for qsym, unlabeled
+for the weak and strict polynomials, which are Omega under a natural and a
+strict labeling): a ClassRecord per labeled poset class with the
+coordinates and public value of each quantity.  Classes of at most
+SMALL_CLASS_MAX = 5 elements keep their record for the life of the process
+(at most 4,474 labeled classes); larger ones live in a table that is
+dropped when the public call returns.
 
 phi is the t-coefficient of the order polynomial, computed here from
 alternating path counts; the flag sums rebuild the whole polynomial from
@@ -161,20 +163,18 @@ SMALL_CLASS_MAX = 5
 """Classes with at most this many elements keep one record across calls.
 
 There are 4,474 labeled classes on at most 5 points (1 + 1 + 3 + 19 + 219
-+ 4,231 partial orders on a labeled set), so the tables of small records
-are bounded by construction; allowing 6 points would allow 130,023 more.
++ 4,231 partial orders on a labeled set), so the table of small records
+is bounded by construction; allowing 6 points would allow 130,023 more.
 """
 
 Step = Callable[[int, list[tuple[object, int, int]]], object]
-Expand = Callable[[tuple, dict], list[tuple["ClassRecord", int, int]]]
 
 
 class ClassRecord:
-    """One poset class in an integer recursion: its key, the above masks of
-    a representative (so its size is len(key)), and, per quantity, the
-    integer coordinates and the public value computed so far (an unlabeled
-    class keeps its weak order polynomial in the omega slots).  Children are
-    not kept: each quantity expands a class once."""
+    """One labeled poset class in an integer recursion: its key, the above
+    masks of a representative (so its size is len(key)), and, per quantity,
+    the integer coordinates and the public value computed so far.  Children
+    are not kept: each quantity expands a class once."""
 
     __slots__ = (
         "key",
@@ -193,13 +193,14 @@ class ClassRecord:
         self.omega_value = self.eulerian_value = self.etilde_value = self.qsym_value = None
 
 
-def class_record(
-    key: tuple, small: dict[tuple, ClassRecord], table: dict[tuple, ClassRecord]
-) -> ClassRecord:
-    """The record of the class with this key: kept in small for the life of
-    the process when the class has at most SMALL_CLASS_MAX elements, else in
+_SMALL_LABELED: dict[tuple, ClassRecord] = {}
+
+
+def class_record(key: tuple, table: dict[tuple, ClassRecord]) -> ClassRecord:
+    """The record of the class with this key: kept for the life of the
+    process when the class has at most SMALL_CLASS_MAX elements, else in
     table, which the public call drops when it returns."""
-    memo = small if len(key) <= SMALL_CLASS_MAX else table
+    memo = _SMALL_LABELED if len(key) <= SMALL_CLASS_MAX else table
     record = memo.get(key)
     if record is None:
         record = memo[key] = ClassRecord(key)
@@ -207,18 +208,18 @@ def class_record(
 
 
 def class_coordinates(
-    record: ClassRecord, name: str, step: Step, expand: Expand, table: dict[tuple, ClassRecord]
+    record: ClassRecord, name: str, step: Step, table: dict[tuple, ClassRecord]
 ) -> object:
     """The coordinates held in record's slot name, computed once per record
     as step(size, [(child coordinates, removed size, multiplicity), ...])
-    over the children that expand lists."""
+    over the children that labeled_children lists."""
     coords = getattr(record, name)
     if coords is None:
         coords = step(
             len(record.key),
             [
-                (class_coordinates(child, name, step, expand, table), removed, mult)
-                for child, removed, mult in expand(record.key, table)
+                (class_coordinates(child, name, step, table), removed, mult)
+                for child, removed, mult in labeled_children(record.key, table)
             ],
         )
         setattr(record, name, coords)
@@ -235,11 +236,8 @@ def public_value(record: ClassRecord, name: str, build: Callable[[], object]) ->
     return value
 
 
-_SMALL_LABELED: dict[tuple, ClassRecord] = {}
-
-
 def labeled_record(lp: LabeledPoset, table: dict[tuple, ClassRecord]) -> ClassRecord:
-    return class_record(canonical_key(lp)[1], _SMALL_LABELED, table)
+    return class_record(canonical_key(lp)[1], table)
 
 
 def labeled_children(
@@ -259,7 +257,7 @@ def labeled_children(
         if ideal:
             removed = ideal.bit_count()
             rest = induced_relation(rep.poset, full ^ ideal)
-            child = (class_record(rest, _SMALL_LABELED, table), removed)
+            child = (class_record(rest, table), removed)
             counts[child] = counts.get(child, 0) + 1
     return [(child, removed, mult) for (child, removed), mult in counts.items()]
 
@@ -288,7 +286,7 @@ def _order_poly(lp: LabeledPoset, table: dict[tuple, ClassRecord]) -> UniPoly:
     identity checks below ask for many subposets of one poset, and a shared
     table expands each class of more than SMALL_CLASS_MAX elements once."""
     record = labeled_record(lp, table)
-    coords = class_coordinates(record, "omega", binomial_step, labeled_children, table)
+    coords = class_coordinates(record, "omega", binomial_step, table)
     value = public_value(record, "omega_value", lambda: from_binomial_basis(coords))
     assert isinstance(value, UniPoly)
     return value

@@ -175,6 +175,26 @@ def test_qsym_direct_refuses_oversized_enumeration(poset_file, capsys):
     assert "POSET_ORACLE_MAX" in err
 
 
+def test_qsym_recursive_refuses_oversized_expansion(poset_file, capsys):
+    path = poset_file("elements: 3\n")
+    code, out, err = run_cli(["qsym", path, "--route", "recursive", "--vars", "3000"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "POSET_ORACLE_MAX" in err
+
+
+def test_invariant_specs_print_the_dedicated_commands_objects(poset_file, capsys):
+    path = poset_file(VEE)
+    _, out, _ = run_cli(["invariant", path, "--spec", "etilde", "--json"], capsys)
+    spec = json.loads(out)
+    _, out, _ = run_cli(["eulerian", path, "--json"], capsys)
+    assert {k: spec[k] for k in ("numerator", "pole_order")} == json.loads(out)["etilde"]
+    _, out, _ = run_cli(["invariant", path, "--spec", "qsym:2", "--json"], capsys)
+    spec = json.loads(out)
+    _, out, _ = run_cli(["qsym", path, "--vars", "2", "--json"], capsys)
+    assert spec["terms"] == json.loads(out)["terms"]
+
+
 def test_invariant_specs(poset_file, capsys):
     path = poset_file(CHAIN)
     code, out, _ = run_cli(["invariant", path, "--spec", "omega"], capsys)

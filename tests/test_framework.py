@@ -137,6 +137,14 @@ def test_direct_enumeration_budget(monkeypatch):
         qsym_direct(chain, 3)  # 3^2 > 2^2
     with pytest.raises(ValueError, match=ORACLE_BOUND_ENV):
         qsym_direct(natural(make_chain(3)), 2)  # 2^3 > 2^2
+    # the recursion counts monomials instead: a 2-antichain is M_(2) + 2·M_(1,1),
+    # N + C(N, 2) monomials in N variables
+    pair = natural(make_antichain(2))
+    assert qsym_recursive(pair, 2) == QSymTruncated(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})  # 3
+    with pytest.raises(ValueError, match=ORACLE_BOUND_ENV):
+        qsym_recursive(pair, 3)  # 6 > 2^2
+    with pytest.raises(ValueError, match=ORACLE_BOUND_ENV):
+        qsym_recursive(pair, 2000)
 
 
 def test_recursion_matches_direct_enumeration():

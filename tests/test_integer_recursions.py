@@ -12,7 +12,7 @@ from math import comb
 
 import pytest
 
-from posetpoly import framework, invariants, unlabeled
+from posetpoly import framework, invariants
 from posetpoly.eulerian import eulerian_from_chains, eulerian_recursive, eulerian_tilde_recursive
 from posetpoly.framework import qsym_direct, qsym_recursive
 from posetpoly.invariants import SMALL_CLASS_MAX, order_poly_recursive
@@ -90,21 +90,19 @@ def test_weak_polynomial_matches_natural_path_counts(lp):
 
 
 def test_cross_call_memos_hold_only_small_classes():
-    engines = (framework._RUN_MEMO, unlabeled._SHARED_MEMOS)
-    before = [sum(len(table) for table in memo.values()) for memo in engines]
+    before = sum(len(table) for table in framework._RUN_MEMO.values())
     for lp in LARGE:
         order_poly_recursive(lp)
         eulerian_recursive(lp)
         eulerian_tilde_recursive(lp)
         qsym_recursive(lp, 3)
         order_poly_unlabeled(lp.poset)
-    for memo in (invariants._SMALL_LABELED, unlabeled._SMALL_UNLABELED):
-        assert memo
-        for key, record in memo.items():
-            assert len(key) <= SMALL_CLASS_MAX
-            assert len(record.key) <= SMALL_CLASS_MAX
-    # the Fraction engines are independent routes; the public recursions leave them alone
-    assert [sum(len(table) for table in memo.values()) for memo in engines] == before
+    assert invariants._SMALL_LABELED
+    for key, record in invariants._SMALL_LABELED.items():
+        assert len(key) <= SMALL_CLASS_MAX
+        assert len(record.key) <= SMALL_CLASS_MAX
+    # the Fraction engine is an independent route; the public recursions leave it alone
+    assert sum(len(table) for table in framework._RUN_MEMO.values()) == before
 
 
 def test_small_classes_keep_their_value_and_large_ones_do_not():

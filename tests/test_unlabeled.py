@@ -3,23 +3,22 @@ from fractions import Fraction
 import pytest
 
 from posetpoly.catalog import posets_up_to
-from posetpoly.invariants import order_poly_recursive
-from posetpoly.polynomials import UniPoly, delta_inverse
+from posetpoly.invariants import order_poly_bruteforce
+from posetpoly.polynomials import UniPoly
 from posetpoly.posets import (
     LabeledPoset,
     iter_bits,
     make_antichain,
     make_chain,
+    make_poset,
     make_shrub,
     natural_labeling,
     reversed_labeling,
 )
 from posetpoly.unlabeled import (
-    UnlabeledInvariantSpec,
     count_subcalls,
     order_poly_unlabeled,
     reciprocity_check,
-    run_unlabeled,
     signed_order_poly_nabla,
     strict_order_poly,
     strict_value_at_one_check,
@@ -109,8 +108,8 @@ def test_agreement_with_labeled_routes():
         strict = strict_order_poly(p)
         for from_top in (False, True):
             omega = extension_labeling(p, from_top)
-            assert weak == order_poly_recursive(LabeledPoset(p, omega))
-            assert strict == order_poly_recursive(
+            assert weak == order_poly_bruteforce(LabeledPoset(p, omega))
+            assert strict == order_poly_bruteforce(
                 LabeledPoset(p, flipped(omega, p.size))
             )
 
@@ -129,22 +128,14 @@ def test_minimal_flavor_needs_fewer_subcalls():
     )
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        UnlabeledInvariantSpec(
-            name="bad", base=UniPoly([1]), operator=lambda v: v, flavor="nope"
-        )
+def test_subcall_counts_of_the_demo_posets():
+    diamond = make_poset(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    for p, ideals, minimal in ((make_chain(4), 10, 4), (make_shrub(2), 8, 5), (diamond, 12, 6)):
+        assert count_subcalls(p, "ideals") == ideals
+        assert count_subcalls(p, "minimal") == minimal
 
 
-def test_specs_sharing_a_name_do_not_share_values():
-    chain = make_chain(2)
-    weak = UnlabeledInvariantSpec(
-        name="weak", base=UniPoly([1]), operator=delta_inverse, flavor="ideals"
-    )
-    doubled = UnlabeledInvariantSpec(
-        name="weak", base=UniPoly([1]), operator=lambda v: 2 * delta_inverse(v), flavor="ideals"
-    )
-    assert order_poly_unlabeled(chain) == UniPoly([0, HALF, HALF])
-    assert run_unlabeled(weak, chain) == UniPoly([0, HALF, HALF])
-    assert run_unlabeled(doubled, chain) == UniPoly([0, 0, 2])
-    assert run_unlabeled(weak, chain) == UniPoly([0, HALF, HALF])
+def test_count_subcalls_rejects_unknown_flavor():
+    with pytest.raises(ValueError, match="nope"):
+        count_subcalls(make_chain(2), "nope")
+
