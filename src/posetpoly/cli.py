@@ -32,6 +32,7 @@ from posetpoly.eulerian import (
 )
 from posetpoly.framework import (
     QSymTruncated,
+    _check_shift_budget,
     etilde_spec,
     eulerian_spec,
     omega_spec,
@@ -282,7 +283,9 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
         match = _SPEC_PATTERN.match(name)
         if match is None or int(match.group(1)) < 1:
             raise ValueError(f"unknown invariant spec {name!r}")
-        value = run_invariant(qsym_spec(int(match.group(1))), lp)
+        nvars = int(match.group(1))
+        _check_shift_budget(nvars, lp.size)  # before qsym_spec builds an nvars-long vector
+        value = run_invariant(qsym_spec(nvars), lp)
         assert isinstance(value, QSymTruncated)
         body, plain = {"terms": _qsym_terms(value)}, value.render()
     return _emit(args, _document(lp, f"invariant/{name}", body, started), plain)

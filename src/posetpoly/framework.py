@@ -22,7 +22,8 @@ compositions with more than N parts drop.  Its class records are those of
 invariants, kept across calls for classes of at most 5 elements.
 qsym_direct enumerates maps and shares the oracle's budget; qsym_recursive
 counts its monomials before it expands them and refuses more than that
-budget too.
+budget too, and run_invariant refuses a qsym spec whose shifts would write
+more exponents than that budget.
 """
 
 from __future__ import annotations
@@ -285,8 +286,27 @@ _RUN_MEMO: dict[InvariantSpec, dict[tuple, object]] = {}
 
 def run_invariant(spec: InvariantSpec, lp: LabeledPoset) -> object:
     """Evaluate the spec's recursion; values are shared by equal specs only,
-    never by specs that merely share a name."""
+    never by specs that merely share a name.  A quasi-symmetric spec that
+    fails _check_shift_budget is refused before anything expands."""
+    if isinstance(spec.base, QSymTruncated):
+        _check_shift_budget(spec.base.nvars, lp.size)
     return _run(spec, _RUN_MEMO.setdefault(spec, {}), lp)
+
+
+def _check_shift_budget(nvars: int, size: int) -> None:
+    """Refuse a qsym recursion in Fractions that would write more than B^B
+    exponents, B the oracle bound.  A value on size points has at most
+    C(nvars+size-1, size) monomials, one per monomial of degree size
+    (Σ_k C(nvars, k)·C(size-1, k-1), k the nonzero exponents), and
+    lambda_operator writes each monomial once per variable, nvars exponents
+    at a time; no expansion is needed to count this."""
+    bound = _oracle_bound()
+    count = nvars * nvars * comb(nvars + size - 1, size)
+    if count > bound**bound:
+        raise ValueError(
+            f"qsym:{nvars} on {size} points writes up to {count} exponents, over the "
+            f"enumeration budget {bound}^{bound}; set {ORACLE_BOUND_ENV} to raise it"
+        )
 
 
 def _run(spec: InvariantSpec, memo: dict[tuple, object], lp: LabeledPoset) -> object:

@@ -7,7 +7,7 @@ the adjacency matrix is strictly upper triangular, and every directed path
 from the empty set to P has at most |P| arcs.
 
 The arcs out of an ideal I are exactly the nonempty omega-natural ideals
-S of P \\ I, and the search finds them with work that grows with the
+S of P \\ I, and build_omega_graph finds them with work that grows with the
 arcs it returns (at most |P| steps per arc), not with the subsets it
 could test.  Elements are renumbered along a linear extension, so
 the lowest undecided element x is always minimal among the undecided
@@ -21,9 +21,19 @@ base-2^B digit k counts the paths of length k that reach it, so each arc
 costs one shift-add.  No count exceeds n^n for n = |P|, so
 B = n·bit_length(n) + 1 bits never carry.
 
+path_counts gets the same counts from a second search that never builds
+the graph and never holds its arc list.  It grows the ideals itself along
+a linear extension, with no call to enumerate_ideals and no sort, gives
+each ideal the list of its covers, and reaches every arc I -> J by adding
+covers to I in increasing position; each arc is one shift-add into J's
+packed counts, then forgotten.  The two searches stay separate on
+purpose: build_omega_graph still serves the omega-graph command, the
+matrix route, chain_polynomial and the checks, and count_paths over it is
+the independent reference that path_counts is tested against.
+
 path_counts keeps the path counts of the most recent labeled-poset class,
 so the invariants one query asks for in turn (the Eulerian pair, then
-phi) share one graph build.
+phi) share one search.
 """
 
 from __future__ import annotations
@@ -158,13 +168,76 @@ def count_paths(graph: OmegaGraph) -> PathCounts:
     return PathCounts(tuple((sink >> (width * k)) & digit for k in range(size + 1)))
 
 
+def _search_path_counts(lp: LabeledPoset) -> PathCounts:
+    """count_paths of lp's ideal graph, by a search that never stores an arc.
+
+    Position k of a linear extension is bit k.  The ideals grow one
+    position at a time, so each one precedes its supersets, the first is
+    the empty set and the last is P.  Each ideal lists its covers
+    (bit of x, index of I + x, larger-labeled elements below x), highest
+    bit first.  From I the search adds covers in increasing position, and
+    only those x with no larger-labeled element below x in the block S, so
+    S stays omega-natural.  Every omega-natural ideal S of P \\ I is reached
+    once, along its elements in position order, so each node of the search
+    is one arc I -> I + S and costs one shift-add of count_paths' packed
+    counts.  A node is pushed only when it has a cover above its last bit.
+    """
+    p = lp.poset
+    size = p.size
+    order = linear_extension(p)
+    position = [0] * size
+    for k, e in enumerate(order):
+        position[e] = k
+    steps = []  # (position, its below mask, its larger-labeled below mask), highest first
+    for k in range(size - 1, -1, -1):
+        e = order[k]
+        lower = list(iter_bits(p.below[e]))
+        need = sum(1 << position[y] for y in lower)
+        larger = sum(1 << position[y] for y in lower if lp.omega[y] > lp.omega[e])
+        steps.append((k, need, larger))
+    ideals = [0]
+    for k, need, _ in reversed(steps):
+        bit = 1 << k
+        ideals += [ideal | bit for ideal in ideals if ideal & need == need]
+    index = {ideal: v for v, ideal in enumerate(ideals)}
+    covers = [
+        [
+            (1 << k, index[ideal | 1 << k], larger)
+            for k, need, larger in steps
+            if not (ideal >> k) & 1 and ideal & need == need
+        ]
+        for ideal in ideals
+    ]
+    width = size * size.bit_length() + 1
+    packed = [0] * len(ideals)
+    packed[0] = 1
+    for v, start in enumerate(covers):
+        shifted = packed[v] << width
+        stack = [(start, 0)]  # (covers of I + S, S); S's last bit is its highest
+        while stack:
+            cover, block = stack.pop()
+            for bit, w, larger in cover:
+                if bit < block:
+                    break
+                if not larger & block:
+                    packed[w] += shifted
+                    after = covers[w]
+                    if after and after[0][0] > bit:
+                        stack.append((after, block | bit))
+    sink = packed[-1]
+    digit = (1 << width) - 1
+    return PathCounts(tuple((sink >> (width * k)) & digit for k in range(size + 1)))
+
+
 _LAST_PATHS: tuple[tuple, PathCounts] | None = None
 
 
 def path_counts(lp: LabeledPoset) -> PathCounts:
     """count_paths of lp's ideal graph, kept for the most recent poset class.
 
-    Path counts depend only on the labeled-poset class, so the slot is keyed
+    The counts come from _search_path_counts, which shares neither the
+    ideal enumeration nor the arc search with build_omega_graph.  Path
+    counts depend only on the labeled-poset class, so the slot is keyed
     by canonical_key.  One slot, not a memo: the invariants of one poset are
     usually asked for back to back, and a memo would grow with every class.
     """
@@ -173,7 +246,7 @@ def path_counts(lp: LabeledPoset) -> PathCounts:
     last = _LAST_PATHS
     if last is not None and last[0] == key:
         return last[1]
-    counts = count_paths(build_omega_graph(lp))
+    counts = _search_path_counts(lp)
     _LAST_PATHS = (key, counts)
     return counts
 

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,17 @@ def test_qsym_direct_refuses_oversized_enumeration(poset_file, capsys):
 def test_qsym_recursive_refuses_oversized_expansion(poset_file, capsys):
     path = poset_file("elements: 3\n")
     code, out, err = run_cli(["qsym", path, "--route", "recursive", "--vars", "3000"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "POSET_ORACLE_MAX" in err
+
+
+@pytest.mark.parametrize("nvars", [300, 3000])
+def test_invariant_qsym_refuses_oversized_expansion(poset_file, capsys, nvars):
+    path = poset_file("elements: 3\n")
+    started = time.perf_counter()
+    code, out, err = run_cli(["invariant", path, "--spec", f"qsym:{nvars}"], capsys)
+    assert time.perf_counter() - started < 1.0
     assert code == 1
     assert out == ""
     assert "POSET_ORACLE_MAX" in err

@@ -147,6 +147,20 @@ def test_direct_enumeration_budget(monkeypatch):
         qsym_recursive(pair, 2000)
 
 
+def test_fraction_recursion_shift_budget(monkeypatch):
+    # run_invariant bounds qsym:N by N^2·C(N+|P|-1, |P|): every monomial of
+    # degree |P|, each shifted once per variable, N exponents at a time
+    with pytest.raises(ValueError, match=ORACLE_BOUND_ENV):
+        run_invariant(qsym_spec(300), natural(make_antichain(3)))
+    monkeypatch.setenv(ORACLE_BOUND_ENV, "2")
+    assert run_invariant(qsym_spec(2), natural(make_antichain(0))) == QSymTruncated.one(2)  # 4
+    assert run_invariant(qsym_spec(1), natural(make_chain(3))) == QSymTruncated(1, {(3,): 1})  # 1
+    with pytest.raises(ValueError, match=ORACLE_BOUND_ENV):
+        run_invariant(qsym_spec(2), natural(make_chain(1)))  # 8 > 2^2
+    with pytest.raises(ValueError, match=ORACLE_BOUND_ENV):
+        run_invariant(qsym_spec(2000), natural(make_antichain(3)))
+
+
 def test_recursion_matches_direct_enumeration():
     for lp in labeled_catalog(3):
         for nvars in (1, 2, 3):

@@ -8,7 +8,7 @@ from posetpoly import omegagraph
 from posetpoly.bernoulli import strict_shrub
 from posetpoly.catalog import labeled_catalog, posets_up_to, standard_labelings
 from posetpoly.eulerian import eulerian_from_chains
-from posetpoly.invariants import phi
+from posetpoly.invariants import order_poly_recursive, phi
 from posetpoly.matrices import RatMatrix
 from posetpoly.omegagraph import (
     build_omega_graph,
@@ -99,14 +99,19 @@ def _small_inputs():
         yield strict_shrub(leaves)
 
 
-def _equivalence_inputs():
-    yield from _small_inputs()
-    rng = random.Random(2003)
-    for n in (10, 10, 11, 11, 12, 12):
+def _seeded_labeled_posets(seed, sizes):
+    """Sparse posets of the given sizes under random labelings."""
+    rng = random.Random(seed)
+    for n in sizes:
         p = _sparse_poset(rng, n)
         omega = list(range(1, n + 1))
         rng.shuffle(omega)
         yield LabeledPoset(p, omega)
+
+
+def _equivalence_inputs():
+    yield from _small_inputs()
+    yield from _seeded_labeled_posets(2003, (10, 10, 11, 11, 12, 12))
 
 
 def test_graph_matches_definition():
@@ -122,6 +127,12 @@ def test_empty_poset_graph():
 
 
 # --- path counts ---
+
+
+@pytest.fixture
+def empty_slot(monkeypatch):
+    """path_counts with no cached class, so every call runs its search."""
+    monkeypatch.setattr(omegagraph, "_LAST_PATHS", None)
 
 
 def test_path_counts_natural_antichain():
@@ -148,13 +159,15 @@ def _stirling2(n):
     return row
 
 
-def test_packed_counts_natural_antichain():
+def test_packed_counts_natural_antichain(empty_slot):
     # every subset of a naturally labeled antichain is omega-natural, so paths
     # of length k are ordered set partitions into k blocks: the widest digits
     for n in range(13):
         stirling = _stirling2(n)
         expected = tuple(factorial(k) * stirling[k] for k in range(n + 1))
-        assert count_paths(build_omega_graph(natural(make_antichain(n)))).c == expected
+        lp = natural(make_antichain(n))
+        assert count_paths(build_omega_graph(lp)).c == expected
+        assert path_counts(lp).c == expected
 
 
 def _paths_by_matrix_powers(graph):
@@ -186,28 +199,27 @@ def test_multipath_routes_agree():
 
 
 @pytest.fixture
-def counted_builds(monkeypatch):
-    """Empty the shared slot and count graph builds."""
-    monkeypatch.setattr(omegagraph, "_LAST_PATHS", None)
-    builds = []
-    original = omegagraph.build_omega_graph
+def counted_searches(monkeypatch, empty_slot):
+    """Count runs of path_counts' search, starting from an empty slot."""
+    searches = []
+    original = omegagraph._search_path_counts
 
     def counting(lp):
-        builds.append(lp)
+        searches.append(lp)
         return original(lp)
 
-    monkeypatch.setattr(omegagraph, "build_omega_graph", counting)
-    return builds
+    monkeypatch.setattr(omegagraph, "_search_path_counts", counting)
+    return searches
 
 
-def test_eulerian_then_phi_build_one_graph(counted_builds):
+def test_eulerian_then_phi_search_once(counted_searches):
     lp = LabeledPoset(make_shrub(3), (2, 4, 1, 3))
     eulerian_from_chains(lp)
     phi(lp)
-    assert len(counted_builds) == 1
+    assert len(counted_searches) == 1
 
 
-def test_path_counts_slot_keyed_by_class(counted_builds):
+def test_path_counts_slot_keyed_by_class(counted_searches):
     a = LabeledPoset(make_shrub(2), (3, 1, 2))
     a_again = LabeledPoset(make_poset(3, [(2, 0), (2, 1)]), (10, 20, 30))  # a, renumbered and relabeled
     b = strict(make_chain(3))
@@ -216,11 +228,48 @@ def test_path_counts_slot_keyed_by_class(counted_builds):
     assert expected_a != expected_b
     assert path_counts(a) == expected_a
     assert path_counts(a_again) == expected_a
-    assert len(counted_builds) == 1
+    assert len(counted_searches) == 1
     assert path_counts(b) == expected_b
     assert path_counts(a) == expected_a
     assert path_counts(b) == expected_b
-    assert len(counted_builds) == 4
+    assert len(counted_searches) == 4
+
+
+# --- path_counts' own search against the explicit graph ---
+
+
+def test_path_counts_match_explicit_graph(empty_slot):
+    inputs = [
+        *_equivalence_inputs(),
+        strict_shrub(9),
+        strict_shrub(10),
+        *_seeded_labeled_posets(4004, [11, 12, 13] * 6 + [11, 12]),
+    ]
+    for lp in inputs:
+        omegagraph._LAST_PATHS = None
+        assert path_counts(lp).c == count_paths(build_omega_graph(lp)).c, lp
+
+
+def test_path_counts_share_no_code_with_the_reference(empty_slot, monkeypatch):
+    lp = LabeledPoset(make_poset(5, [(0, 2), (1, 2), (1, 3), (3, 4)]), (4, 1, 5, 3, 2))
+    expected = count_paths(build_omega_graph(lp))
+
+    def refuse(*args):
+        raise AssertionError("path_counts must not use the explicit graph's code")
+
+    monkeypatch.setattr(omegagraph, "build_omega_graph", refuse)
+    monkeypatch.setattr(omegagraph, "enumerate_ideals", refuse)
+    assert path_counts(lp) == expected
+
+
+def test_path_counts_multipaths_are_order_polynomial_values(empty_slot):
+    # the ideal recursion shares neither search nor ideal list with path_counts
+    for lp in _seeded_labeled_posets(5005, [8, 9, 10] * 3 + [10]):
+        omegagraph._LAST_PATHS = None
+        counts = path_counts(lp)
+        omega = order_poly_recursive(lp)
+        for m in range(lp.size + 2):
+            assert counts.multipath(m) == omega(m), (lp, m)
 
 
 # --- chain polynomial of the interior graph ---
