@@ -36,11 +36,9 @@ from math import comb
 from typing import Callable, Mapping
 
 from posetpoly.invariants import (
-    ORACLE_BOUND_ENV,
     SMALL_CLASS_MAX,
     ClassRecord,
     Step,
-    _oracle_bound,
     class_coordinates,
     labeled_record,
     order_poly_recursive,
@@ -48,7 +46,9 @@ from posetpoly.invariants import (
 from posetpoly.localized import LocalizedRatio
 from posetpoly.polynomials import RationalLike, UniPoly, _as_fraction, delta_inverse
 from posetpoly.posets import (
+    ORACLE_BOUND_ENV,
     LabeledPoset,
+    _oracle_bound,
     canonical_key,
     induced_subposet,
     iter_bits,

@@ -36,7 +36,6 @@ after the Eulerian pair of the same poset, and sums at most |P| terms.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -47,8 +46,10 @@ from posetpoly.matrices import PolyMatrix, matrix_exp_scaled, matrix_log_unipote
 from posetpoly.omegagraph import OmegaGraph, build_omega_graph, path_counts
 from posetpoly.polynomials import UniPoly, from_binomial_basis, lagrange_interpolate
 from posetpoly.posets import (
+    ORACLE_BOUND_ENV,
     LabeledPoset,
     Poset,
+    _oracle_bound,
     canonical_key,
     enumerate_ideals,
     induced_relation,
@@ -71,20 +72,6 @@ __all__ = [
     "omega_from_phi",
     "derivative_identity_check",
 ]
-
-ORACLE_BOUND_ENV = "POSET_ORACLE_MAX"
-_DEFAULT_ORACLE_BOUND = 7
-
-
-def _oracle_bound() -> int:
-    raw = os.environ.get(ORACLE_BOUND_ENV)
-    if raw is None:
-        return _DEFAULT_ORACLE_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ORACLE_BOUND_ENV} must be an integer, got {raw!r}") from None
-
 
 def order_poly_bruteforce(lp: LabeledPoset) -> UniPoly:
     """Count admissible maps into [n] directly and interpolate.

@@ -46,6 +46,8 @@ from posetpoly.matrices import RatMatrix
 from posetpoly.polynomials import UniPoly
 from posetpoly.posets import (
     LabeledPoset,
+    _ideal_budget_error,
+    _oracle_bound,
     canonical_key,
     enumerate_ideals,
     iter_bits,
@@ -181,6 +183,8 @@ def _search_path_counts(lp: LabeledPoset) -> PathCounts:
     once, along its elements in position order, so each node of the search
     is one arc I -> I + S and costs one shift-add of count_paths' packed
     counts.  A node is pushed only when it has a cover above its last bit.
+    Like enumerate_ideals it refuses a lattice of more than B^B ideals, B
+    the oracle bound.
     """
     p = lp.poset
     size = p.size
@@ -195,10 +199,14 @@ def _search_path_counts(lp: LabeledPoset) -> PathCounts:
         need = sum(1 << position[y] for y in lower)
         larger = sum(1 << position[y] for y in lower if lp.omega[y] > lp.omega[e])
         steps.append((k, need, larger))
+    bound = _oracle_bound()
+    budget = bound**bound
     ideals = [0]
     for k, need, _ in reversed(steps):
         bit = 1 << k
         ideals += [ideal | bit for ideal in ideals if ideal & need == need]
+        if len(ideals) > budget:
+            raise _ideal_budget_error(bound)
     index = {ideal: v for v, ideal in enumerate(ideals)}
     covers = [
         [

@@ -282,21 +282,27 @@ def nabla_inverse(p: UniPoly) -> UniPoly:
 
 
 def lagrange_interpolate(points: Sequence[tuple[RationalLike, RationalLike]]) -> UniPoly:
-    """The unique polynomial of degree < len(points) through the given points."""
+    """The unique polynomial of degree < len(points) through the given points.
+
+    Newton's divided differences, then Horner's rule on the Newton form
+    c_0 + (t - x_0)(c_1 + (t - x_1)(c_2 + ...)): O(n^2) exact Fraction
+    operations for n points.  It shares no code with from_binomial_basis,
+    so the brute-force oracle that interpolates through it stays
+    independent of the recursion it checks.
+    """
     xs = [_as_fraction(x) for x, _ in points]
-    ys = [_as_fraction(y) for _, y in points]
+    coef = [_as_fraction(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate abscissa in interpolation points")
-    total = UniPoly()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        basis = UniPoly((1,))
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = basis * UniPoly((-xj, 1))
-            denom *= xi - xj
-        total = total + basis * (yi / denom)
-    return total
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    poly: list[Fraction] = []  # ascending coefficients
+    for k in range(n - 1, -1, -1):
+        # poly <- poly·(t - x_k) + c_k
+        shifted = [coef[k], *poly]
+        for i, c in enumerate(poly):
+            shifted[i] -= xs[k] * c
+        poly = shifted
+    return UniPoly(poly)

@@ -9,11 +9,21 @@ A labeling is an injective map to positive integers.  A subset S is
 omega-natural when the labeling restricted to S is order-preserving;
 the check runs off precomputed per-element violator masks, so testing a
 subset costs one mask intersection per member.
+
+Ideals grow along a linear extension: each element in turn joins every
+ideal grown so far that holds its lower set, one list comprehension per
+element, and the list is sorted once at the end.  The omega-natural ideals
+grow the same way over only the elements with no larger-labeled element
+below them, so they are never filtered out of all ideals.  Every
+enumeration shares one budget: with B the oracle bound (default 7, set by
+the POSET_ORACLE_MAX environment variable) a list that passes B^B ideals
+is refused with a ValueError as soon as it does.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -35,6 +45,29 @@ __all__ = [
     "unlabeled_canonical_key",
     "iter_bits",
 ]
+
+
+ORACLE_BOUND_ENV = "POSET_ORACLE_MAX"
+_DEFAULT_ORACLE_BOUND = 7
+
+
+def _oracle_bound() -> int:
+    """The oracle bound B, which caps every enumeration in the package at
+    B^B items: the POSET_ORACLE_MAX environment variable, else 7."""
+    raw = os.environ.get(ORACLE_BOUND_ENV)
+    if raw is None:
+        return _DEFAULT_ORACLE_BOUND
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{ORACLE_BOUND_ENV} must be an integer, got {raw!r}") from None
+
+
+def _ideal_budget_error(bound: int) -> ValueError:
+    return ValueError(
+        f"more than {bound}^{bound} ideals exceed the enumeration budget; "
+        f"set {ORACLE_BOUND_ENV} to raise it"
+    )
 
 
 def iter_bits(mask: int):
@@ -208,34 +241,54 @@ class LabeledPoset:
         return f"LabeledPoset({self.poset!r}, {self.omega!r})"
 
 
+def _grow_ideals(p: Poset, admitted: int) -> list[int]:
+    """The ideals of p inside admitted, sorted by (cardinality, mask).
+
+    The elements are taken in order of lower-set size, a linear extension
+    because x < y makes below[x] a proper subset of below[y].  Each
+    admitted x joins every ideal grown so far that holds its lower set, so
+    after each step the list holds exactly the ideals among the elements
+    taken.  The list at most doubles per step and is refused as soon as it
+    holds more than B^B ideals, B the oracle bound.
+    """
+    bound = _oracle_bound()
+    budget = bound**bound
+    below = p.below
+    ideals = [0]
+    for x in sorted(range(p.size), key=lambda e: below[e].bit_count()):
+        if (admitted >> x) & 1:
+            need = below[x]
+            bit = 1 << x
+            ideals += [ideal | bit for ideal in ideals if ideal & need == need]
+            if len(ideals) > budget:
+                raise _ideal_budget_error(bound)
+    ideals.sort()
+    ideals.sort(key=int.bit_count)  # stable: (cardinality, mask)
+    return ideals
+
+
 def enumerate_ideals(p: Poset) -> list[int]:
     """All down-closed subsets as masks, sorted by (cardinality, mask).
 
-    Grown breadth-first: an ideal extends by any minimal element of its
-    complement.  The (cardinality, mask) order puts the empty set first,
-    the whole set last, and containment always means a smaller index.
+    Grown along a linear extension, every element admitted.  The
+    (cardinality, mask) order puts the empty set first, the whole set
+    last, and containment always means a smaller index.  Raises ValueError
+    when there are more than B^B ideals, B the oracle bound
+    (POSET_ORACLE_MAX, default 7).
     """
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        ideal = frontier.pop()
-        for x in range(p.size):
-            if not ((ideal >> x) & 1) and p.below[x] & ~ideal == 0:
-                bigger = ideal | (1 << x)
-                if bigger not in seen:
-                    seen.add(bigger)
-                    frontier.append(bigger)
-    return sorted(seen, key=lambda m: (m.bit_count(), m))
+    return _grow_ideals(p, p.full_mask)
 
 
 def omega_natural_ideals(lp: LabeledPoset) -> list[int]:
-    """The ideals on which omega is order-preserving.  An ideal holds all of
-    a member's lower set, so these are exactly the ideals that avoid every
-    element with a larger-labeled element below it."""
+    """The ideals on which omega is order-preserving, in enumerate_ideals'
+    order.  An ideal holds all of a member's lower set, so these are exactly
+    the ideals that avoid every element with a larger-labeled element below
+    it; they are grown along a linear extension with only the other elements
+    admitted.  Raises ValueError past the same budget of B^B ideals."""
     violated = 0
     for mask in lp._violators:
         violated |= mask
-    return [ideal for ideal in enumerate_ideals(lp.poset) if not ideal & violated]
+    return _grow_ideals(lp.poset, lp.poset.full_mask & ~violated)
 
 
 def induced_relation(p: Poset, subset: int) -> tuple[int, ...]:

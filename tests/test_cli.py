@@ -184,6 +184,17 @@ def test_qsym_recursive_refuses_oversized_expansion(poset_file, capsys):
     assert "POSET_ORACLE_MAX" in err
 
 
+def test_ideals_refuses_a_lattice_over_the_budget(poset_file, capsys):
+    # a 40-antichain has 2^40 ideals; the growth stops past 7^7
+    path = poset_file("elements: 40\n")
+    started = time.perf_counter()
+    code, out, err = run_cli(["ideals", path], capsys)
+    assert time.perf_counter() - started < 5.0
+    assert code == 1
+    assert out == ""
+    assert "POSET_ORACLE_MAX" in err
+
+
 @pytest.mark.parametrize("nvars", [300, 3000])
 def test_invariant_qsym_refuses_oversized_expansion(poset_file, capsys, nvars):
     path = poset_file("elements: 3\n")

@@ -20,6 +20,7 @@ from posetpoly.omegagraph import (
 )
 from posetpoly.polynomials import UniPoly
 from posetpoly.posets import (
+    ORACLE_BOUND_ENV,
     LabeledPoset,
     enumerate_ideals,
     make_antichain,
@@ -260,6 +261,14 @@ def test_path_counts_share_no_code_with_the_reference(empty_slot, monkeypatch):
     monkeypatch.setattr(omegagraph, "build_omega_graph", refuse)
     monkeypatch.setattr(omegagraph, "enumerate_ideals", refuse)
     assert path_counts(lp) == expected
+
+
+def test_path_counts_ideal_budget(empty_slot, monkeypatch):
+    # the search grows its own ideal list under the same B^B budget
+    monkeypatch.setenv(ORACLE_BOUND_ENV, "3")
+    assert path_counts(natural(make_antichain(4))).c == (0, 1, 14, 36, 24)
+    with pytest.raises(ValueError, match=ORACLE_BOUND_ENV):
+        path_counts(natural(make_antichain(5)))
 
 
 def test_path_counts_multipaths_are_order_polynomial_values(empty_slot):

@@ -192,6 +192,29 @@ def test_lagrange_reproduces_random_polys():
         assert lagrange_interpolate(pts) == p
 
 
+def _textbook_lagrange(points):
+    """sum_i y_i · prod_{j != i} (t - x_j) / (x_i - x_j), term by term."""
+    total = UniPoly()
+    for i, (xi, yi) in enumerate(points):
+        basis = UniPoly((yi,))
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = basis * UniPoly((-xj, 1)) * (1 / (xi - xj))
+        total = total + basis
+    return total
+
+
+def test_lagrange_matches_textbook_sum():
+    rng = random.Random(7321)
+    for _ in range(200):
+        count = rng.randint(0, 9)
+        xs = set()
+        while len(xs) < count:
+            xs.add(Fr(rng.randint(-40, 40), rng.randint(1, 5)))
+        pts = [(x, Fr(rng.randint(-60, 60), rng.randint(1, 7))) for x in xs]
+        assert lagrange_interpolate(pts) == _textbook_lagrange(pts), pts
+
+
 # --- rendering ---
 
 

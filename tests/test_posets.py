@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from posetpoly.catalog import posets_up_to, standard_labelings
 from posetpoly.posets import (
+    ORACLE_BOUND_ENV,
     LabeledPoset,
     Poset,
     canonical_key,
@@ -171,9 +173,9 @@ def test_ideal_counts_of_families():
 
 
 def test_ideals_match_bruteforce_downclosed_filter():
-    rng = random.Random(4242)
-    for _ in range(12):
-        p = random_poset(rng, rng.randint(0, 4))
+    # every catalog poset up to 6 points; the omega-natural ideals under each
+    # standard labeling are the down-closed subsets is_omega_natural accepts
+    for p in posets_up_to(6):
         brute = [
             s
             for s in all_subsets(p.size)
@@ -181,6 +183,9 @@ def test_ideals_match_bruteforce_downclosed_filter():
         ]
         brute.sort(key=lambda m: (m.bit_count(), m))
         assert enumerate_ideals(p) == brute
+        for omega in standard_labelings(p):
+            lp = LabeledPoset(p, omega)
+            assert omega_natural_ideals(lp) == [s for s in brute if lp.is_omega_natural(s)]
 
 
 def test_ideal_order_respects_containment():
@@ -197,10 +202,36 @@ def test_ideal_order_respects_containment():
 
 def test_omega_natural_ideals():
     p = make_shrub(3)
+    # root 0 below leaves 1..3: every ideal holds the root, and under a
+    # natural labeling every one is omega-natural
     natural = LabeledPoset(p, natural_labeling(p))
-    assert omega_natural_ideals(natural) == enumerate_ideals(p)
+    assert omega_natural_ideals(natural) == [
+        0b0000, 0b0001, 0b0011, 0b0101, 0b1001, 0b0111, 0b1011, 0b1101, 0b1111
+    ]
+    # leaves 1 and 3 carry labels below the root's 3, so only leaf 2 is admitted
+    mixed = LabeledPoset(p, (3, 2, 4, 1))
+    assert omega_natural_ideals(mixed) == [0, 0b0001, 0b0101]
     strict = LabeledPoset(p, reversed_labeling(p))
     assert omega_natural_ideals(strict) == [0, 0b0001]
+
+
+def test_ideal_budget(monkeypatch):
+    # with bound B at most B^B ideals: 3^3 = 27 admits the 16 of a
+    # 4-antichain and refuses the 32 of a 5-antichain
+    monkeypatch.setenv(ORACLE_BOUND_ENV, "3")
+    four, five = make_antichain(4), make_antichain(5)
+    assert len(enumerate_ideals(four)) == 16
+    assert len(omega_natural_ideals(LabeledPoset(four, natural_labeling(four)))) == 16
+    with pytest.raises(ValueError, match=ORACLE_BOUND_ENV):
+        enumerate_ideals(five)
+    with pytest.raises(ValueError, match=ORACLE_BOUND_ENV):
+        omega_natural_ideals(LabeledPoset(five, natural_labeling(five)))
+    # the budget counts the ideals grown: the 6-point shrub has 33 ideals,
+    # and under a strict labeling only the root is admitted
+    shrub = make_shrub(5)
+    with pytest.raises(ValueError, match=ORACLE_BOUND_ENV):
+        enumerate_ideals(shrub)
+    assert omega_natural_ideals(LabeledPoset(shrub, reversed_labeling(shrub))) == [0, 1]
 
 
 # --- minimum elements and induced subposets ---
