@@ -36,7 +36,9 @@ from posetpoly.eulerian import (
     eulerian_tilde_recursive,
 )
 from posetpoly.framework import (
+    InvariantSpec,
     QSymTruncated,
+    _run,
     etilde_spec,
     eulerian_spec,
     lambda_operator,
@@ -46,9 +48,9 @@ from posetpoly.framework import (
     qsym_spec,
     qsym_specialization_check,
     quasi_symmetry_check,
-    run_invariant,
 )
 from posetpoly.invariants import (
+    ThetaMatrix,
     convolution_check,
     derivative_identity_check,
     omega_from_phi,
@@ -63,6 +65,7 @@ from posetpoly.matrices import RatMatrix
 from posetpoly.polynomials import UniPoly, delta_inverse
 from posetpoly.posets import (
     LabeledPoset,
+    induced_subposet,
     make_antichain,
     natural_labeling,
     reversed_labeling,
@@ -193,20 +196,29 @@ def check_antichain_eulerian() -> tuple[bool, str]:
     return True, "recursions to n=10, descent oracle to n=8"
 
 
+def _spec_runner() -> Callable[[InvariantSpec, LabeledPoset], object]:
+    """run_invariant with one table of values by class per spec, kept for
+    one check's loop over the catalog and dropped with it."""
+    tables: dict[InvariantSpec, dict[tuple, object]] = {}
+    return lambda spec, lp: _run(spec, tables.setdefault(spec, {}), lp)
+
+
 def check_framework(max_size: int, samples: int = 100) -> tuple[bool, str]:
     """Generic recursion reproduces every direct route, and each built-in
     operator is linear on random carrier elements."""
     omega, etilde, eulerian = omega_spec(), etilde_spec(), eulerian_spec()
+    qsym = {nvars: qsym_spec(nvars) for nvars in range(1, max_size + 2)}
+    run = _spec_runner()
     cases = 0
     for lp in labeled_catalog(max_size):
-        if run_invariant(omega, lp) != order_poly_recursive(lp):
+        if run(omega, lp) != order_poly_recursive(lp):
             return False, f"order-poly spec differs on {lp!r}"
-        if run_invariant(etilde, lp) != eulerian_tilde_recursive(lp):
+        if run(etilde, lp) != eulerian_tilde_recursive(lp):
             return False, f"tilde spec differs on {lp!r}"
-        if run_invariant(eulerian, lp) != eulerian_from_chains(lp).e:
+        if run(eulerian, lp) != eulerian_from_chains(lp).e:
             return False, f"family spec differs on {lp!r}"
         nvars = lp.size + 1
-        if run_invariant(qsym_spec(nvars), lp) != qsym_direct(lp, nvars):
+        if run(qsym[nvars], lp) != qsym_direct(lp, nvars):
             return False, f"qsym spec differs on {lp!r}"
         cases += 1
 
@@ -268,13 +280,15 @@ def check_unlabeled(max_size: int) -> tuple[bool, str]:
     """Unlabeled routes against the Fraction recursion of run_invariant on the
     natural and strict labelings, reflection identity, sign-twisted route,
     endpoint characterizations, and the subcall bound."""
+    omega = omega_spec()
+    run = _spec_runner()
     cases = 0
     for p in posets_up_to(max_size):
         weak = order_poly_unlabeled(p)
         strict = strict_order_poly(p)
-        if weak != run_invariant(omega_spec(), LabeledPoset(p, natural_labeling(p))):
+        if weak != run(omega, LabeledPoset(p, natural_labeling(p))):
             return False, f"weak route differs on {p!r}"
-        if strict != run_invariant(omega_spec(), LabeledPoset(p, reversed_labeling(p))):
+        if strict != run(omega, LabeledPoset(p, reversed_labeling(p))):
             return False, f"strict route differs on {p!r}"
         sign = -1 if p.size % 2 else 1
         if signed_order_poly_nabla(p) != sign * weak:
@@ -290,9 +304,26 @@ def check_unlabeled(max_size: int) -> tuple[bool, str]:
     return True, f"{cases} posets"
 
 
+def theta_subposet_check(theta: ThetaMatrix) -> bool:
+    """Every Theta entry (I, J) is the order polynomial of the difference
+    subposet J \\ I when I ⊆ J, and zero otherwise."""
+    lp = theta.graph.labeled_poset
+    ideals = theta.graph.ideals
+    for i, small in enumerate(ideals):
+        for j, big in enumerate(ideals):
+            value = theta.entry(i, j)
+            if small & big != small:
+                if value:
+                    return False
+            elif value != order_poly_recursive(induced_subposet(lp, big & ~small)):
+                return False
+    return True
+
+
 def check_theta_powers(max_size: int, max_power: int = 5) -> tuple[bool, str]:
     """The entrywise-polynomial transition matrix at integer times equals
-    powers of (I + adjacency)."""
+    powers of (I + adjacency), and each entry is the order polynomial of
+    its difference subposet."""
     cases = 0
     for lp in labeled_catalog(max_size):
         theta = theta_matrix(lp)
@@ -303,6 +334,8 @@ def check_theta_powers(max_size: int, max_power: int = 5) -> tuple[bool, str]:
             if theta.entries.eval_at(Fraction(n)) != power:
                 return False, f"power {n} differs on {lp!r}"
             power = power * step
+        if not theta_subposet_check(theta):
+            return False, f"subposet entry differs on {lp!r}"
         cases += 1
     return True, f"{cases} labeled posets, powers to {max_power}"
 

@@ -17,7 +17,7 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from posetpoly.bernoulli import (
     bernoulli_from_shrub,
@@ -48,13 +48,7 @@ from posetpoly.invariants import (
     phi,
 )
 from posetpoly.localized import LocalizedRatio
-from posetpoly.omegagraph import (
-    PathCounts,
-    build_omega_graph,
-    count_paths,
-    path_counts,
-    to_dot,
-)
+from posetpoly.omegagraph import build_omega_graph, path_counts, to_dot
 from posetpoly.polynomials import UniPoly
 from posetpoly.posetfile import PosetParseError, parse_poset_file
 from posetpoly.posets import LabeledPoset, enumerate_ideals, iter_bits
@@ -106,28 +100,23 @@ def _poset_echo(lp: LabeledPoset) -> dict:
     }
 
 
-def _document(
-    lp: LabeledPoset,
-    invariant: str,
-    body: dict,
-    started: float,
-    counts: PathCounts | None = None,
-) -> dict:
-    """The JSON document; counts default to the shared path_counts(lp)."""
-    if counts is None:
-        counts = path_counts(lp)
+def _document(lp: LabeledPoset, invariant: str, body: dict, started: float) -> dict:
+    """The JSON document of a poset command, with its metadata."""
     metadata = {
         "size": lp.size,
         "ideal_count": len(enumerate_ideals(lp.poset)),
-        "path_counts": list(counts.c),
+        "path_counts": list(path_counts(lp).c),
         "elapsed_seconds": round(time.perf_counter() - started, 6),
     }
     return {"poset": _poset_echo(lp), "invariant": invariant, **body, "metadata": metadata}
 
 
-def _emit(args: argparse.Namespace, document: dict, plain: str) -> int:
+def _emit(args: argparse.Namespace, document: Callable[[], dict], plain: str) -> int:
+    """Print plain text, or under --json the document, which is built only
+    then: its metadata costs a path-count search and an ideal enumeration
+    that plain text never shows."""
     if args.json:
-        print(json.dumps(document, ensure_ascii=False, indent=2))
+        print(json.dumps(document(), ensure_ascii=False, indent=2))
     else:
         print(plain)
     return EXIT_OK
@@ -157,7 +146,7 @@ def _cmd_ideals(args: argparse.Namespace) -> int:
     ideals = enumerate_ideals(lp.poset)
     members = [_member_list(mask) for mask in ideals]
     plain = "\n".join("{" + ", ".join(map(str, m)) + "}" for m in members)
-    return _emit(args, _document(lp, "ideals", {"ideals": members}, started), plain)
+    return _emit(args, lambda: _document(lp, "ideals", {"ideals": members}, started), plain)
 
 
 def _cmd_omega_graph(args: argparse.Namespace) -> int:
@@ -180,8 +169,7 @@ def _cmd_omega_graph(args: argparse.Namespace) -> int:
             "{" + ", ".join(map(str, _member_list(graph.ideals[i]))) + "} -> "
             "{" + ", ".join(map(str, _member_list(graph.ideals[j]))) + "}"
         )
-    document = _document(lp, "omega-graph", body, started, count_paths(graph))
-    return _emit(args, document, "\n".join(lines))
+    return _emit(args, lambda: _document(lp, "omega-graph", body, started), "\n".join(lines))
 
 
 _LABELED_ROUTES = {
@@ -208,8 +196,7 @@ def _cmd_order_poly(args: argparse.Namespace) -> int:
     else:
         poly = _LABELED_ROUTES[args.route or "recursive"](lp)
         name = "order-poly"
-    doc = _document(lp, name, _poly_body(poly), started)
-    return _emit(args, doc, poly.render("t"))
+    return _emit(args, lambda: _document(lp, name, _poly_body(poly), started), poly.render("t"))
 
 
 def _cmd_eulerian(args: argparse.Namespace) -> int:
@@ -222,15 +209,15 @@ def _cmd_eulerian(args: argparse.Namespace) -> int:
         e, etilde = pair.e, pair.etilde
     body = {**_poly_body(e), "etilde": _etilde_body(etilde)}
     plain = f"e: {e.render('λ')}\netilde: {etilde.render('λ')}"
-    return _emit(args, _document(lp, "eulerian", body, started), plain)
+    return _emit(args, lambda: _document(lp, "eulerian", body, started), plain)
 
 
 def _cmd_phi(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     lp = _read_poset(args)
     value = phi(lp)
-    doc = _document(lp, "phi", {"value": _fraction_string(value)}, started)
-    return _emit(args, doc, str(value))
+    body = {"value": _fraction_string(value)}
+    return _emit(args, lambda: _document(lp, "phi", body, started), str(value))
 
 
 _BERNOULLI_ROUTES = {
@@ -250,7 +237,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
         "route": args.route,
         "value": _fraction_string(value),
     }
-    return _emit(args, document, str(value))
+    return _emit(args, lambda: document, str(value))
 
 
 def _cmd_qsym(args: argparse.Namespace) -> int:
@@ -259,7 +246,7 @@ def _cmd_qsym(args: argparse.Namespace) -> int:
     route = qsym_recursive if args.route == "recursive" else qsym_direct
     value = route(lp, args.vars)
     body = {"variables": args.vars, "terms": _qsym_terms(value)}
-    return _emit(args, _document(lp, "qsym", body, started), value.render())
+    return _emit(args, lambda: _document(lp, "qsym", body, started), value.render())
 
 
 _SPEC_PATTERN = re.compile(r"qsym:([0-9]+)$")
@@ -288,7 +275,7 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
         value = run_invariant(qsym_spec(nvars), lp)
         assert isinstance(value, QSymTruncated)
         body, plain = {"terms": _qsym_terms(value)}, value.render()
-    return _emit(args, _document(lp, f"invariant/{name}", body, started), plain)
+    return _emit(args, lambda: _document(lp, f"invariant/{name}", body, started), plain)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import chain, combinations, product
 from math import comb
 from typing import Callable, Mapping
@@ -281,16 +281,11 @@ class InvariantSpec:
             )
 
 
-_RUN_MEMO: dict[InvariantSpec, dict[tuple, object]] = {}
-
-
 def run_invariant(spec: InvariantSpec, lp: LabeledPoset) -> object:
-    """Evaluate the spec's recursion; values are shared by equal specs only,
-    never by specs that merely share a name.  A quasi-symmetric spec that
-    fails _check_shift_budget is refused before anything expands."""
-    if isinstance(spec.base, QSymTruncated):
-        _check_shift_budget(spec.base.nvars, lp.size)
-    return _run(spec, _RUN_MEMO.setdefault(spec, {}), lp)
+    """Evaluate the spec's recursion, with a table of values by class that
+    lives for this call only.  A quasi-symmetric spec that fails
+    _check_shift_budget is refused before anything expands."""
+    return _run(spec, {}, lp)
 
 
 def _check_shift_budget(nvars: int, size: int) -> None:
@@ -310,10 +305,16 @@ def _check_shift_budget(nvars: int, size: int) -> None:
 
 
 def _run(spec: InvariantSpec, memo: dict[tuple, object], lp: LabeledPoset) -> object:
+    """run_invariant with the caller's table of this spec's values by class:
+    a check that runs one spec over the catalog keeps one table for its loop,
+    since the catalog's posets share most of their subposets.  The shift
+    budget is checked before each class expands, the largest first."""
     key = canonical_key(lp)
     cached = memo.get(key)
     if cached is not None:
         return cached
+    if isinstance(spec.base, QSymTruncated):
+        _check_shift_budget(spec.base.nvars, lp.size)
     if lp.size == 0:
         value = spec.base
     else:
@@ -339,7 +340,6 @@ def _run(spec: InvariantSpec, memo: dict[tuple, object], lp: LabeledPoset) -> ob
     return value
 
 
-@cache
 def omega_spec() -> InvariantSpec:
     return InvariantSpec(
         name="omega",
@@ -349,7 +349,6 @@ def omega_spec() -> InvariantSpec:
     )
 
 
-@cache
 def etilde_spec() -> InvariantSpec:
     return InvariantSpec(
         name="etilde",
@@ -359,7 +358,6 @@ def etilde_spec() -> InvariantSpec:
     )
 
 
-@cache
 def eulerian_spec() -> InvariantSpec:
     def member(m: int) -> Callable[[UniPoly], UniPoly]:
         factor = _LAMBDA * _ONE_MINUS_LAMBDA ** (m - 1)
@@ -373,7 +371,6 @@ def eulerian_spec() -> InvariantSpec:
     )
 
 
-@cache
 def qsym_spec(nvars: int) -> InvariantSpec:
     return InvariantSpec(
         name=f"qsym:{nvars}",

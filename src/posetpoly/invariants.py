@@ -65,7 +65,6 @@ __all__ = [
     "order_poly_recursive",
     "ThetaMatrix",
     "theta_matrix",
-    "theta_subposet_check",
     "phi",
     "convolution_check",
     "phi_recursion_check",
@@ -128,22 +127,6 @@ def theta_matrix(lp: LabeledPoset) -> ThetaMatrix:
 def order_poly_matrix(lp: LabeledPoset) -> UniPoly:
     theta = theta_matrix(lp)
     return theta.entry(theta.graph.source, theta.graph.sink)
-
-
-def theta_subposet_check(lp: LabeledPoset) -> bool:
-    """Every Theta entry is the order polynomial of its difference subposet."""
-    theta = theta_matrix(lp)
-    ideals = theta.graph.ideals
-    table: dict[tuple, ClassRecord] = {}
-    for i, small in enumerate(ideals):
-        for j, big in enumerate(ideals):
-            value = theta.entry(i, j)
-            if small & big != small:
-                if value:
-                    return False
-            elif value != _order_poly(induced_subposet(lp, big & ~small), table):
-                return False
-    return True
 
 
 SMALL_CLASS_MAX = 5
@@ -302,8 +285,7 @@ def convolution_check(lp: LabeledPoset) -> bool:
             key = (i, k - i)
             lhs[key] = lhs.get(key, Fraction(0)) + c * comb(k, i)
     rhs: dict[tuple[int, int], Fraction] = {}
-    graph = build_omega_graph(lp)
-    for ideal in graph.ideals:
+    for ideal in enumerate_ideals(lp.poset):
         left = _order_poly(induced_subposet(lp, ideal), table)
         right = _order_poly(induced_subposet(lp, full & ~ideal), table)
         for i, a in enumerate(left.coeffs):
@@ -378,11 +360,10 @@ def derivative_identity_check(lp: LabeledPoset) -> bool:
     full = lp.poset.full_mask
     table: dict[tuple, ClassRecord] = {}
     target = _order_poly(lp, table).derivative()
-    graph = build_omega_graph(lp)
     phi_of = _phi_per_class(lp)
     front = UniPoly()
     back = UniPoly()
-    for ideal in graph.ideals:
+    for ideal in enumerate_ideals(lp.poset):
         rest = full & ~ideal
         if ideal:
             front = front + phi_of(ideal) * _order_poly(induced_subposet(lp, rest), table)

@@ -10,7 +10,9 @@ allocates a fresh result.
 
 matrix_log_unipotent and matrix_exp_scaled implement ln(I+A) and e^{tΦ}
 for strictly upper triangular A: nilpotency truncates both series at the
-dimension, so everything stays in exact rational arithmetic.
+dimension, so everything stays in exact rational arithmetic.  The module
+serves that route (invariants.theta_matrix) and the check of Θ at integer
+times against products of I + A (checks.check_theta_powers).
 """
 
 from __future__ import annotations
@@ -62,22 +64,11 @@ class RatMatrix:
             sparse.append({j: Fraction(v) for j, v in enumerate(row) if v != 0})
         return cls(n, sparse)
 
-    @classmethod
-    def from_entries(cls, n: int, entries: Mapping[tuple[int, int], RationalLike]) -> RatMatrix:
-        rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
-        for (i, j), v in entries.items():
-            rows[i][j] = Fraction(v)
-        return cls(n, rows)
-
     def entry(self, i: int, j: int) -> Fraction:
         return self._rows[i].get(j, Fraction(0))
 
     def row(self, i: int) -> Mapping[int, Fraction]:
         return self._rows[i]
-
-    def to_lists(self) -> list[list[Fraction]]:
-        n = self.dimension
-        return [[self.entry(i, j) for j in range(n)] for i in range(n)]
 
     def is_zero(self) -> bool:
         return all(not r for r in self._rows)
@@ -100,9 +91,6 @@ class RatMatrix:
             rows.append(merged)
         return RatMatrix(self.dimension, rows)
 
-    def __sub__(self, other: RatMatrix) -> RatMatrix:
-        return self + other.scaled(-1)
-
     def scaled(self, factor: RationalLike) -> RatMatrix:
         f = Fraction(factor)
         return RatMatrix(self.dimension, [{j: v * f for j, v in r.items()} for r in self._rows])
@@ -117,19 +105,6 @@ class RatMatrix:
                     out[j] = out.get(j, Fraction(0)) + av * bv
             rows.append(out)
         return RatMatrix(self.dimension, rows)
-
-    def __pow__(self, exponent: int) -> RatMatrix:
-        if exponent < 0:
-            raise ValueError("negative matrix power")
-        result = RatMatrix.identity(self.dimension)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def _check_same_shape(self, other: RatMatrix) -> None:
         if self.dimension != other.dimension:
@@ -150,16 +125,8 @@ class PolyMatrix:
         if len(self._rows) != dimension:
             raise ValueError("row count does not match dimension")
 
-    @classmethod
-    def identity(cls, n: int) -> PolyMatrix:
-        one = UniPoly((1,))
-        return cls(n, [{i: one} for i in range(n)])
-
     def entry(self, i: int, j: int) -> UniPoly:
         return self._rows[i].get(j, UniPoly())
-
-    def row(self, i: int) -> Mapping[int, UniPoly]:
-        return self._rows[i]
 
     def eval_at(self, point: RationalLike) -> RatMatrix:
         return RatMatrix(

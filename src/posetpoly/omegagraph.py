@@ -16,10 +16,12 @@ when no member of S below x carries a larger label (one AND against a
 per-element mask).  Dropping is always possible, so every branch ends in
 a distinct S and no work is spent on subsets that fail the test.
 
-count_paths runs its DP in exact integers, one int per vertex whose
-base-2^B digit k counts the paths of length k that reach it, so each arc
-costs one shift-add.  No count exceeds n^n for n = |P|, so
-B = n·bit_length(n) + 1 bits never carry.
+count_paths is the one DP over the explicit graph.  It runs in exact
+integers, one int per vertex whose base-2^B digit k counts the paths of
+length k that reach it, so each arc costs one shift-add.  No count
+exceeds n^n for n = |P|, so B = n·bit_length(n) + 1 bits never carry.
+chain_polynomial reads its interior chains off the same counts, shifted
+by one arc.
 
 path_counts gets the same counts from a second search that never builds
 the graph and never holds its arc list.  It grows the ideals itself along
@@ -60,7 +62,6 @@ __all__ = [
     "build_omega_graph",
     "count_paths",
     "path_counts",
-    "multipath_matrix_route",
     "chain_polynomial",
     "to_dot",
 ]
@@ -259,44 +260,20 @@ def path_counts(lp: LabeledPoset) -> PathCounts:
     return counts
 
 
-def multipath_matrix_route(graph: OmegaGraph, n: int) -> Fraction:
-    """The (source, sink) entry of (I + A)^n; must match PathCounts.multipath."""
-    m = RatMatrix.identity(len(graph.ideals)) + graph.adjacency()
-    return (m**n).entry(graph.source, graph.sink)
-
-
 def chain_polynomial(graph: OmegaGraph) -> UniPoly:
     """Chain polynomial of the interior graph (source and sink removed).
 
     The coefficient of mu^j counts interior chains with j vertices that
     thread through the removed endpoints: the source must reach the first
-    vertex by an arc and the last vertex must reach the sink.  The
-    constant term is 1 exactly when the arc source -> sink itself exists.
-    Indexing this way makes the j-th coefficient equal the count of
-    source-to-sink paths with j+1 arcs, which is what the localized
-    Eulerian identities consume.
+    vertex by an arc and the last vertex must reach the sink.  Such a chain
+    is a source-to-sink path with j+1 arcs, so the coefficients are the
+    path counts shifted down by one arc, which is what the localized
+    Eulerian identities consume.  The constant term is 1 exactly when the
+    arc source -> sink itself exists; the empty poset has the empty chain.
     """
-    size = graph.labeled_poset.size
-    if size == 0:
+    if graph.labeled_poset.size == 0:
         return UniPoly([1])
-    source, sink = graph.source, graph.sink
-    start = set(graph.successors[source])
-    counts = [0] * (size + 1)
-    counts[0] = 1 if sink in start else 0
-    table: list[list[int]] = [[0] * size for _ in graph.ideals]
-    for v in range(1, sink):
-        row = table[v]
-        if v in start:
-            row[1] += 1
-        ends_at_sink = sink in graph.successors[v]
-        for length, ways in enumerate(row):
-            if ways:
-                if ends_at_sink:
-                    counts[length] += ways
-                for w in graph.successors[v]:
-                    if w != sink:
-                        table[w][length + 1] += ways
-    return UniPoly(counts)
+    return UniPoly(count_paths(graph).c[1:])
 
 
 def to_dot(graph: OmegaGraph) -> str:

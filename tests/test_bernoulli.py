@@ -18,6 +18,7 @@ from posetpoly.bernoulli import (
 from posetpoly.invariants import order_poly_recursive
 from posetpoly.omegagraph import build_omega_graph, count_paths
 from posetpoly.polynomials import UniPoly
+from posetpoly.posets import ORACLE_BOUND_ENV
 
 FIRST_NUMBERS = [
     Fraction(1),
@@ -77,6 +78,14 @@ def test_multinomial_sum_matches_oracle():
     assert bernoulli_multinomial(3) == 0
     for n in range(1, 11):
         assert bernoulli_multinomial(n) == table.b[n]
+
+
+def test_multinomial_sum_refuses_compositions_over_the_budget(monkeypatch):
+    # b_n sums over 2^(n-1) compositions; at B = 2 the budget is 2^2
+    monkeypatch.setenv(ORACLE_BOUND_ENV, "2")
+    assert bernoulli_multinomial(3) == 0
+    with pytest.raises(ValueError, match=ORACLE_BOUND_ENV):
+        bernoulli_multinomial(4)
 
 
 def test_scaled_numbers_are_integers():

@@ -98,6 +98,15 @@ def test_bernoulli_routes(capsys):
     assert json.loads(out)["value"] == "1/6"
 
 
+def test_bernoulli_multinomial_refuses_oversized_sum(capsys):
+    started = time.perf_counter()
+    code, out, err = run_cli(["bernoulli", "--n", "40", "--route", "multinomial"], capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert out == ""
+    assert "POSET_ORACLE_MAX" in err
+
+
 def test_bernoulli_rejects_bad_n(capsys):
     code, _, err = run_cli(["bernoulli", "--n", "0", "--route", "shrub"], capsys)
     assert code == 1
@@ -148,6 +157,25 @@ def test_omega_graph_builds_one_graph(poset_file, capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["metadata"]["path_counts"] == [0, 1, 3, 2]
     assert len(builds) == 1
+
+
+def test_plain_output_runs_no_path_count_search(poset_file, capsys, monkeypatch):
+    path = poset_file(VEE)
+    commands = [
+        ["ideals", path],
+        ["order-poly", path],
+        ["qsym", path, "--vars", "2"],
+        ["invariant", path, "--spec", "omega"],
+    ]
+    expected = [run_cli(argv, capsys)[1] for argv in commands]
+
+    def refuse(lp):
+        raise AssertionError("plain output needs no path counts")
+
+    monkeypatch.setattr(omegagraph, "_LAST_PATHS", None)
+    monkeypatch.setattr(omegagraph, "_search_path_counts", refuse)
+    for argv, out in zip(commands, expected):
+        assert run_cli(argv, capsys)[:2] == (0, out)
 
 
 def test_eulerian_routes_agree(poset_file, capsys):

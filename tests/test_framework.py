@@ -213,12 +213,20 @@ def test_specs_sharing_a_name_do_not_share_values():
     )
 
 
-def test_spec_factories_return_one_spec_per_argument():
-    assert omega_spec() is omega_spec()
-    assert etilde_spec() is etilde_spec()
-    assert eulerian_spec() is eulerian_spec()
-    assert qsym_spec(3) is qsym_spec(3)
-    assert qsym_spec(2) is not qsym_spec(3)
+def test_each_call_expands_the_recursion_again():
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return delta_inverse(value)
+
+    spec = InvariantSpec(name="counted", carrier=UniPoly, base=UniPoly([1]), operator=counted)
+    lp = natural(make_chain(3))
+    first = run_invariant(spec, lp)
+    per_call = len(calls)
+    assert per_call == 3  # one operator call per nonempty class: chains of 1, 2, 3 points
+    assert run_invariant(spec, lp) == first
+    assert len(calls) == 2 * per_call
 
 
 def test_spec_validation():

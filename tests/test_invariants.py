@@ -4,8 +4,10 @@ from fractions import Fraction as Fr
 import pytest
 
 from posetpoly.catalog import labeled_catalog, standard_labelings
+from posetpoly.checks import theta_subposet_check
 from posetpoly.invariants import (
     ORACLE_BOUND_ENV,
+    ThetaMatrix,
     convolution_check,
     derivative_identity_check,
     omega_from_phi,
@@ -15,9 +17,8 @@ from posetpoly.invariants import (
     phi,
     phi_recursion_check,
     theta_matrix,
-    theta_subposet_check,
 )
-from posetpoly.matrices import matrix_log_unipotent
+from posetpoly.matrices import RatMatrix, matrix_log_unipotent
 from posetpoly.omegagraph import build_omega_graph
 from posetpoly.polynomials import UniPoly
 from posetpoly.posets import (
@@ -145,15 +146,21 @@ def test_theta_subposet_coherence_samples():
     sample = labeled_catalog(4)
     rng.shuffle(sample)
     for lp in sample[:20]:
-        assert theta_subposet_check(lp)
+        assert theta_subposet_check(theta_matrix(lp))
+    # both chains have three ideals, but the natural one's order polynomial is not the strict one's
+    natural_entries = theta_matrix(natural(make_chain(2))).entries
+    strict_theta = theta_matrix(strict(make_chain(2)))
+    assert not theta_subposet_check(ThetaMatrix(strict_theta.graph, natural_entries))
 
 
 def test_theta_integer_powers():
     for lp in (natural(make_shrub(2)), strict(make_chain(3)), natural(make_antichain(3))):
         theta = theta_matrix(lp)
         base = theta.entries.eval_at(1)
+        power = RatMatrix.identity(base.dimension)
         for n in range(6):
-            assert theta.entries.eval_at(n) == base**n
+            assert theta.entries.eval_at(n) == power
+            power = power * base
 
 
 # --- phi ---

@@ -15,12 +15,12 @@ T = UniPoly.variable()
 
 
 def random_strict_upper(rng: random.Random, n: int) -> RatMatrix:
-    entries = {}
+    rows = [{} for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.6:
-                entries[(i, j)] = Fr(rng.randint(-3, 3), rng.randint(1, 3))
-    return RatMatrix.from_entries(n, entries)
+                rows[i][j] = Fr(rng.randint(-3, 3), rng.randint(1, 3))
+    return RatMatrix(n, rows)
 
 
 # --- RatMatrix basics ---
@@ -30,7 +30,7 @@ def test_from_rows_and_entry():
     m = RatMatrix.from_rows([[0, 1], [0, 0]])
     assert m.entry(0, 1) == 1
     assert m.entry(1, 0) == 0
-    assert m.to_lists() == [[Fr(0), Fr(1)], [Fr(0), Fr(0)]]
+    assert [[m.entry(i, j) for j in range(2)] for i in range(2)] == [[0, 1], [0, 0]]
 
 
 def test_from_rows_rejects_nonsquare():
@@ -44,7 +44,6 @@ def test_identity_and_multiplication():
     eye = RatMatrix.identity(5)
     assert a * eye == a
     assert eye * a == a
-    assert a**3 == a * a * a
     assert (a + a.scaled(-1)).is_zero()
 
 
@@ -80,7 +79,7 @@ def test_log_two_by_two():
 
 
 def test_log_three_chain():
-    a = RatMatrix.from_entries(3, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
+    a = RatMatrix.from_rows([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
     phi = matrix_log_unipotent(a)
     assert phi.entry(0, 1) == 1
     assert phi.entry(1, 2) == 1
@@ -96,7 +95,8 @@ def test_log_rejects_nontriangular():
 
 
 def test_exp_of_zero_is_identity():
-    assert matrix_exp_scaled(RatMatrix.zeros(3)) == PolyMatrix.identity(3)
+    identity = PolyMatrix(3, [{i: UniPoly([1])} for i in range(3)])
+    assert matrix_exp_scaled(RatMatrix.zeros(3)) == identity
 
 
 def test_exp_two_by_two():
@@ -121,5 +121,7 @@ def test_exp_log_round_trip_at_integer_powers():
         theta = matrix_exp_scaled(matrix_log_unipotent(a))
         one_plus_a = RatMatrix.identity(n) + a
         assert theta.eval_at(1) == one_plus_a
+        power = RatMatrix.identity(n)
         for m in range(6):
-            assert theta.eval_at(m) == one_plus_a**m
+            assert theta.eval_at(m) == power
+            power = power * one_plus_a

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction as Fr
 from math import factorial
 
 import pytest
@@ -14,7 +13,6 @@ from posetpoly.omegagraph import (
     build_omega_graph,
     chain_polynomial,
     count_paths,
-    multipath_matrix_route,
     path_counts,
     to_dot,
 )
@@ -195,8 +193,11 @@ def test_multipath_routes_agree():
     for lp in sample[:12]:
         g = build_omega_graph(lp)
         counts = count_paths(g)
+        step = RatMatrix.identity(len(g.ideals)) + g.adjacency()
+        power = RatMatrix.identity(len(g.ideals))
         for n in range(11):
-            assert Fr(counts.multipath(n)) == multipath_matrix_route(g, n)
+            assert counts.multipath(n) == power.entry(g.source, g.sink)
+            power = power * step
 
 
 @pytest.fixture
@@ -297,15 +298,22 @@ def test_chain_polynomial_small_cases():
 
 
 def test_chain_polynomial_counts_shifted_paths():
-    """Interior chains with j vertices are exactly paths with j+1 arcs."""
+    """Coefficient j counts the interior chains with j vertices, walked one by one."""
     for lp in labeled_catalog(4):
         if lp.size == 0:
             continue
         g = build_omega_graph(lp)
-        c = count_paths(g).c
+        chains = [0] * lp.size
+        stack = [(g.source, 0)]  # (last vertex, interior vertices so far)
+        while stack:
+            v, length = stack.pop()
+            for w in g.successors[v]:
+                if w == g.sink:
+                    chains[length] += 1
+                else:
+                    stack.append((w, length + 1))
         poly = chain_polynomial(g)
-        coeffs = list(poly.coeffs) + [Fr(0)] * (lp.size - len(poly.coeffs))
-        assert coeffs == [Fr(v) for v in c[1:]]
+        assert list(poly.coeffs) + [0] * (lp.size - len(poly.coeffs)) == chains, lp
 
 
 def test_chain_polynomial_strict_shrub():
