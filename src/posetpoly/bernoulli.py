@@ -62,8 +62,11 @@ class BernoulliTable:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def bernoulli_numbers_oracle(highest: int) -> BernoulliTable:
+    """The table up to highest, kept for the last 8 values asked: the
+    wide-lattice benchmark reads 4 sizes and `posetpoly check` one, so 8
+    holds them all while bounding what other sizes can add."""
     return BernoulliTable(highest)
 
 

@@ -34,9 +34,12 @@ __all__ = [
 _LABEL_SEED = 20260815
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=7)
 def all_posets(n: int) -> tuple[Poset, ...]:
-    """All posets with n elements, one representative per isomorphism class."""
+    """All posets with n elements, one representative per isomorphism class.
+
+    The last 7 sizes asked are kept: check --max-size 6 cycles through the
+    sizes 0..6 once per check, and a smaller memo would miss every time."""
     if n == 0:
         return (Poset([]),)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

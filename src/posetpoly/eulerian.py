@@ -13,8 +13,8 @@ independently of the path-count assembly so the two can confirm each other.
 The localized one, etilde(P) = (λ/(1-λ)) Σ etilde(P\\S), is the plain one
 divided through by (1-λ)^(|P|+1), so one recursion serves both: it keeps the
 integer coefficients of e, e(P) = λ Σ (1-λ)^(|S|-1) e(P\\S), per poset class
-(records of classes with at most 5 elements are kept across calls, see
-invariants), and etilde is LocalizedRatio(e, |P|+1).
+(in the class records of invariants, which Omega and qsym share), and
+etilde is LocalizedRatio(e, |P|+1).
 
 The antichain specializations recover the classical Eulerian polynomials
 A_n, reachable here through four unrelated computations: poset path
@@ -32,9 +32,9 @@ from posetpoly.localized import LocalizedRatio
 from posetpoly.invariants import (
     ClassRecord,
     class_coordinates,
-    labeled_record,
     order_poly_recursive,
     public_value,
+    top_record,
 )
 from posetpoly.omegagraph import build_omega_graph, chain_polynomial, path_counts
 from posetpoly.polynomials import UniPoly
@@ -100,8 +100,7 @@ def _eulerian_step(size: int, children: list[tuple[object, int, int]]) -> tuple[
 
 
 def _eulerian_value(lp: LabeledPoset) -> tuple[ClassRecord, UniPoly]:
-    table: dict[tuple, ClassRecord] = {}
-    record = labeled_record(lp, table)
+    record, table = top_record(lp)
     coords = class_coordinates(record, "eulerian", _eulerian_step, table)
     e = public_value(record, "eulerian_value", lambda: UniPoly(coords))
     assert isinstance(e, UniPoly)

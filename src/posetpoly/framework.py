@@ -19,7 +19,8 @@ qsym_recursive is the dedicated one: it keeps integer coefficients on the
 monomial quasi-symmetric basis, where the building-block operator for m
 prepends the part m to a composition, M_alpha -> M_((m) + alpha), and
 compositions with more than N parts drop.  Its class records are those of
-invariants, kept across calls for classes of at most 5 elements.
+invariants, which Omega and e/etilde share; the coordinates of a class of
+more than 5 elements hold N, so a call with another N recomputes them.
 qsym_direct enumerates maps and shares the oracle's budget; qsym_recursive
 counts its monomials before it expands them and refuses more than that
 budget too, and run_invariant refuses a qsym spec whose shifts would write
@@ -37,11 +38,10 @@ from typing import Callable, Mapping
 
 from posetpoly.invariants import (
     SMALL_CLASS_MAX,
-    ClassRecord,
     Step,
     class_coordinates,
-    labeled_record,
     order_poly_recursive,
+    top_record,
 )
 from posetpoly.localized import LocalizedRatio
 from posetpoly.polynomials import RationalLike, UniPoly, _as_fraction, delta_inverse
@@ -463,15 +463,15 @@ def qsym_recursive(lp: LabeledPoset, nvars: int) -> QSymTruncated:
     most B^B monomials."""
     if nvars < 1:
         raise ValueError("need at least one variable")
-    table: dict[tuple, ClassRecord] = {}
-    record = labeled_record(lp, table)
+    record, table = top_record(lp, nvars)
     coords = class_coordinates(record, "qsym", _composition_step(nvars), table)
     _check_monomial_budget(coords, lp.size, nvars)
     last = record.qsym_value  # a small class keeps the value of its latest nvars
     if last is not None and last[0] == nvars:
         return last[1]
     value = _monomial_expansion(coords, lp.size, nvars)
-    record.qsym_value = (nvars, value)
+    if lp.size <= SMALL_CLASS_MAX:
+        record.qsym_value = (nvars, value)
     return value
 
 

@@ -21,11 +21,15 @@ nonempty omega-natural ideals S; Fractions appear only when the public
 value is built.  This module also holds the engine the other integer
 recursions share (eulerian for e and etilde, framework for qsym, unlabeled
 for the weak and strict polynomials, which are Omega under a natural and a
-strict labeling): a ClassRecord per labeled poset class with the
-coordinates and public value of each quantity.  Classes of at most
-SMALL_CLASS_MAX = 5 elements keep their record for the life of the process
-(at most 4,474 labeled classes); larger ones live in a table that is
-dropped when the public call returns.
+strict labeling): a ClassRecord per labeled poset class with the integer
+coordinates of each quantity.  Classes of at most SMALL_CLASS_MAX = 5
+elements keep their record for the life of the process (at most 4,474
+labeled classes), with their public values and with coordinate tuples
+interned, since few distinct ones occur.  Larger classes live in one table
+per top class, the class a public call was asked about, and one slot keeps
+the table of the most recent top: Omega, e, etilde and qsym of one poset
+share it, so each large class lists its children once for all of them.
+The slot holds children and coordinates, never a public value.
 
 phi is the t-coefficient of the order polynomial, computed here from
 alternating path counts; the flag sums rebuild the whole polynomial from
@@ -57,6 +61,7 @@ from posetpoly.posets import (
     iter_bits,
     omega_natural_ideals,
 )
+from posetpoly.stats import COUNTERS
 
 __all__ = [
     "ORACLE_BOUND_ENV",
@@ -142,12 +147,16 @@ Step = Callable[[int, list[tuple[object, int, int]]], object]
 
 class ClassRecord:
     """One labeled poset class in an integer recursion: its key, the above
-    masks of a representative (so its size is len(key)), and, per quantity,
-    the integer coordinates and the public value computed so far.  Children
-    are not kept: each quantity expands a class once."""
+    masks of a representative in label order (so its size is len(key)), and
+    per quantity its integer coordinates.  A class of at most
+    SMALL_CLASS_MAX elements also holds the public value of each quantity
+    and lists its children again for each quantity it expands; a larger one
+    keeps its children, listed the first time any quantity expands it, and
+    holds no public value."""
 
     __slots__ = (
         "key",
+        "children",
         "omega",
         "eulerian",
         "qsym",
@@ -159,22 +168,76 @@ class ClassRecord:
 
     def __init__(self, key: tuple) -> None:
         self.key = key
+        self.children: list[tuple[ClassRecord, int, int]] | None = None
         self.omega = self.eulerian = self.qsym = None
         self.omega_value = self.eulerian_value = self.etilde_value = self.qsym_value = None
 
 
 _SMALL_LABELED: dict[tuple, ClassRecord] = {}
 
+_INTERNED: dict[tuple, tuple] = {}
+"""One copy of each coordinate tuple a small record holds.  Few are
+distinct (3,000 deep-recursion queries leave 4,010 small records with 265
+Omega, 265 e and 877 qsym tuples), and there are at most three per small
+class, so the table is bounded by the small classes."""
+
+
+class LargeClasses:
+    """The table of one top class: the records of the classes of more than
+    SMALL_CLASS_MAX elements that its recursions reach, and the nvars their
+    qsym coordinates are truncated at (None before any qsym call)."""
+
+    __slots__ = ("top", "table", "qsym_nvars")
+
+    def __init__(self, top: tuple) -> None:
+        self.top = top
+        self.table: dict[tuple, ClassRecord] = {}
+        self.qsym_nvars: int | None = None
+
+
+_LAST_LARGE: LargeClasses | None = None
+
 
 def class_record(key: tuple, table: dict[tuple, ClassRecord]) -> ClassRecord:
     """The record of the class with this key: kept for the life of the
     process when the class has at most SMALL_CLASS_MAX elements, else in
-    table, which the public call drops when it returns."""
+    table, which belongs to the top class or to the caller."""
     memo = _SMALL_LABELED if len(key) <= SMALL_CLASS_MAX else table
     record = memo.get(key)
     if record is None:
         record = memo[key] = ClassRecord(key)
     return record
+
+
+def top_record(
+    lp: LabeledPoset, qsym_nvars: int | None = None
+) -> tuple[ClassRecord, dict[tuple, ClassRecord]]:
+    """The record of lp's class and the table of large classes its
+    recursions read, from one canonical_key.
+
+    A class of at most SMALL_CLASS_MAX elements reaches only small classes.
+    A larger one reads the one slot, which holds the table of the most
+    recent top class and is replaced when lp's class is another, as in
+    omegagraph.path_counts: the quantities of one poset are usually asked
+    for back to back, and one table is bounded by that poset's classes.
+    Large qsym coordinates are truncated at nvars - 1 parts, so a qsym call
+    passes its nvars and a change of nvars drops them.
+    """
+    global _LAST_LARGE
+    key = canonical_key(lp)[1]
+    if len(key) <= SMALL_CLASS_MAX:
+        return class_record(key, {}), {}
+    large = _LAST_LARGE
+    if large is not None and large.top == key:
+        COUNTERS["class_slot_hits"] += 1
+    else:
+        COUNTERS["class_slot_misses"] += 1
+        large = _LAST_LARGE = LargeClasses(key)
+    if qsym_nvars is not None and large.qsym_nvars != qsym_nvars:
+        for record in large.table.values():
+            record.qsym = None
+        large.qsym_nvars = qsym_nvars
+    return class_record(key, large.table), large.table
 
 
 def class_coordinates(
@@ -185,20 +248,31 @@ def class_coordinates(
     over the children that labeled_children lists."""
     coords = getattr(record, name)
     if coords is None:
+        size = len(record.key)
+        children = record.children
+        if children is None:
+            children = labeled_children(record.key, table)
+            if size > SMALL_CLASS_MAX:
+                record.children = children
         coords = step(
-            len(record.key),
+            size,
             [
                 (class_coordinates(child, name, step, table), removed, mult)
-                for child, removed, mult in labeled_children(record.key, table)
+                for child, removed, mult in children
             ],
         )
+        if size <= SMALL_CLASS_MAX:
+            coords = _INTERNED.setdefault(coords, coords)
         setattr(record, name, coords)
     return coords
 
 
 def public_value(record: ClassRecord, name: str, build: Callable[[], object]) -> object:
     """The value a public function returns, held in record's slot name: a
-    small class returns the same object on every call."""
+    small class returns the same object on every call, and a large class
+    builds a new one on every call."""
+    if len(record.key) > SMALL_CLASS_MAX:
+        return build()
     value = getattr(record, name)
     if value is None:
         value = build()
@@ -220,6 +294,7 @@ def labeled_children(
     elements in label order, and the child's masks are already its key.
     """
     size = len(key)
+    COUNTERS["large_class_expansions" if size > SMALL_CLASS_MAX else "small_class_expansions"] += 1
     rep = LabeledPoset(Poset(key), range(1, size + 1))
     full = rep.poset.full_mask
     counts: dict[tuple[ClassRecord, int], int] = {}
@@ -248,14 +323,17 @@ def binomial_step(size: int, children: list[tuple[object, int, int]]) -> tuple[i
 def order_poly_recursive(lp: LabeledPoset) -> UniPoly:
     """Inverse-difference recursion over complements of omega-natural ideals,
     in integer binomial coordinates."""
-    return _order_poly(lp, {})
+    return _omega_value(*top_record(lp))
 
 
 def _order_poly(lp: LabeledPoset, table: dict[tuple, ClassRecord]) -> UniPoly:
     """order_poly_recursive with the caller's table of large classes: the
     identity checks below ask for many subposets of one poset, and a shared
     table expands each class of more than SMALL_CLASS_MAX elements once."""
-    record = labeled_record(lp, table)
+    return _omega_value(labeled_record(lp, table), table)
+
+
+def _omega_value(record: ClassRecord, table: dict[tuple, ClassRecord]) -> UniPoly:
     coords = class_coordinates(record, "omega", binomial_step, table)
     value = public_value(record, "omega_value", lambda: from_binomial_basis(coords))
     assert isinstance(value, UniPoly)

@@ -55,6 +55,7 @@ from posetpoly.posets import (
     iter_bits,
     linear_extension,
 )
+from posetpoly.stats import COUNTERS
 
 __all__ = [
     "OmegaGraph",
@@ -254,7 +255,9 @@ def path_counts(lp: LabeledPoset) -> PathCounts:
     key = canonical_key(lp)
     last = _LAST_PATHS
     if last is not None and last[0] == key:
+        COUNTERS["path_slot_hits"] += 1
         return last[1]
+    COUNTERS["path_slot_misses"] += 1
     counts = _search_path_counts(lp)
     _LAST_PATHS = (key, counts)
     return counts

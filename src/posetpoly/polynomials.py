@@ -55,6 +55,28 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+# The fractional coefficients from_binomial_basis made most recently, one
+# object per value.  Order polynomials of posets of one shape repeat their
+# coefficients: 4,200 deep-recursion queries (Omega and the weak polynomial,
+# 8-10 points) make 72,298 fractional coefficients with 15,605 values, and
+# with a table of 4,096 values only 33,367 of them are objects of their own.
+# The key is the pair of integers, whose hash is far cheaper than a
+# Fraction's.  The table is emptied when full, so it never holds more than
+# _SHARED_MAX fractions.
+_SHARED_MAX = 4096
+_SHARED_FRACTIONS: dict[tuple[int, int], Fraction] = {}
+
+
+def _shared_fraction(value: Fraction) -> Fraction:
+    key = (value.numerator, value.denominator)
+    shared = _SHARED_FRACTIONS.get(key)
+    if shared is None:
+        if len(_SHARED_FRACTIONS) >= _SHARED_MAX:
+            _SHARED_FRACTIONS.clear()
+        shared = _SHARED_FRACTIONS[key] = value
+    return shared
+
+
 class UniPoly:
     """A univariate polynomial with Fraction coefficients, immutable."""
 
@@ -242,7 +264,9 @@ def from_binomial_basis(coords: Sequence[int]) -> UniPoly:
             for j, f in enumerate(falling):
                 numerators[j] += c * scale * f
     # an integral coefficient goes in as an int, to share _SMALL_INTEGERS
-    return UniPoly([x // den if x % den == 0 else Fraction(x, den) for x in numerators])
+    return UniPoly(
+        [x // den if x % den == 0 else _shared_fraction(Fraction(x, den)) for x in numerators]
+    )
 
 
 def delta(p: UniPoly) -> UniPoly:

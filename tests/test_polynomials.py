@@ -3,11 +3,13 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from posetpoly import polynomials
 from posetpoly.polynomials import (
     UniPoly,
     binomial_poly,
     delta,
     delta_inverse,
+    from_binomial_basis,
     lagrange_interpolate,
     nabla,
     nabla_inverse,
@@ -164,6 +166,26 @@ def test_binomial_poly():
 
 
 # --- interpolation ---
+
+
+def test_from_binomial_basis_matches_the_binomial_sum():
+    rng = random.Random(7)
+    for _ in range(50):
+        coords = [rng.randint(-40, 40) for _ in range(rng.randint(1, 8))]
+        expected = UniPoly()
+        for k, c in enumerate(coords):
+            expected = expected + c * binomial_poly(k)
+        assert from_binomial_basis(coords) == expected
+
+
+def test_from_binomial_basis_shares_equal_fractions_within_a_bound():
+    first = from_binomial_basis((0, 0, 3))  # 3·C(t,2) = 3/2·t^2 - 3/2·t
+    again = from_binomial_basis((0, 0, 3))
+    assert first == again and first is not again
+    assert first.coeffs[2] is again.coeffs[2]
+    for odd in range(1, 2 * polynomials._SHARED_MAX + 20, 2):
+        assert from_binomial_basis((0, 0, odd)).coeffs[2] == Fr(odd, 2)
+    assert len(polynomials._SHARED_FRACTIONS) <= polynomials._SHARED_MAX
 
 
 def test_lagrange_line():
