@@ -2,7 +2,8 @@
 
 Posets on n elements are generated up to isomorphism by enumerating every
 subset of the upward pairs (i, j), i < j, as a candidate cover relation,
-closing transitively, and deduplicating by canonical form.  Every
+closing transitively with posets.add_cover (one mask OR per element of each
+cover's down-set and up-set), and deduplicating by canonical form.  Every
 isomorphism class contains a representative whose order respects the index
 order (take any linear extension), so this enumeration is exhaustive.
 
@@ -19,6 +20,7 @@ from functools import lru_cache
 from posetpoly.posets import (
     LabeledPoset,
     Poset,
+    add_cover,
     natural_labeling,
     reversed_labeling,
     unlabeled_canonical_key,
@@ -46,34 +48,18 @@ def all_posets(n: int) -> tuple[Poset, ...]:
     seen_relations: set[tuple[int, ...]] = set()
     by_key: dict[tuple, Poset] = {}
     for picks in itertools.product((False, True), repeat=len(pairs)):
-        direct = [0] * n
-        for chosen, (i, j) in zip(picks, pairs):
-            if chosen:
-                direct[i] |= 1 << j
-        closed = _close_upward(direct)
-        relation = tuple(closed)
+        above, below = [0] * n, [0] * n
+        for low, high in itertools.compress(pairs, picks):
+            add_cover(above, below, low, high)
+        relation = tuple(above)
         if relation in seen_relations:
             continue
         seen_relations.add(relation)
-        poset = Poset(closed)
+        poset = Poset(above)
         key = unlabeled_canonical_key(poset)
         if key not in by_key:
             by_key[key] = poset
     return tuple(by_key[key] for key in sorted(by_key))
-
-
-def _close_upward(direct: list[int]) -> list[int]:
-    # all arcs go from smaller to larger index, so one back-to-front pass closes
-    closed = list(direct)
-    for i in range(len(closed) - 1, -1, -1):
-        reach = closed[i]
-        j_mask = closed[i]
-        while j_mask:
-            low = j_mask & -j_mask
-            reach |= closed[low.bit_length() - 1]
-            j_mask ^= low
-        closed[i] = reach
-    return closed
 
 
 def posets_up_to(max_size: int) -> list[Poset]:

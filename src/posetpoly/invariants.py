@@ -280,10 +280,6 @@ def public_value(record: ClassRecord, name: str, build: Callable[[], object]) ->
     return value
 
 
-def labeled_record(lp: LabeledPoset, table: dict[tuple, ClassRecord]) -> ClassRecord:
-    return class_record(canonical_key(lp)[1], table)
-
-
 def labeled_children(
     key: tuple, table: dict[tuple, ClassRecord]
 ) -> list[tuple[ClassRecord, int, int]]:
@@ -323,17 +319,7 @@ def binomial_step(size: int, children: list[tuple[object, int, int]]) -> tuple[i
 def order_poly_recursive(lp: LabeledPoset) -> UniPoly:
     """Inverse-difference recursion over complements of omega-natural ideals,
     in integer binomial coordinates."""
-    return _omega_value(*top_record(lp))
-
-
-def _order_poly(lp: LabeledPoset, table: dict[tuple, ClassRecord]) -> UniPoly:
-    """order_poly_recursive with the caller's table of large classes: the
-    identity checks below ask for many subposets of one poset, and a shared
-    table expands each class of more than SMALL_CLASS_MAX elements once."""
-    return _omega_value(labeled_record(lp, table), table)
-
-
-def _omega_value(record: ClassRecord, table: dict[tuple, ClassRecord]) -> UniPoly:
+    record, table = top_record(lp)
     coords = class_coordinates(record, "omega", binomial_step, table)
     value = public_value(record, "omega_value", lambda: from_binomial_basis(coords))
     assert isinstance(value, UniPoly)
@@ -356,16 +342,15 @@ def convolution_check(lp: LabeledPoset) -> bool:
     """Omega(s+t) = sum over all ideals S of Omega(S;s)·Omega(P\\S;t),
     compared as genuine bivariate polynomials."""
     full = lp.poset.full_mask
-    table: dict[tuple, ClassRecord] = {}
     lhs: dict[tuple[int, int], Fraction] = {}
-    for k, c in enumerate(_order_poly(lp, table).coeffs):
+    for k, c in enumerate(order_poly_recursive(lp).coeffs):
         for i in range(k + 1):
             key = (i, k - i)
             lhs[key] = lhs.get(key, Fraction(0)) + c * comb(k, i)
     rhs: dict[tuple[int, int], Fraction] = {}
     for ideal in enumerate_ideals(lp.poset):
-        left = _order_poly(induced_subposet(lp, ideal), table)
-        right = _order_poly(induced_subposet(lp, full & ~ideal), table)
+        left = order_poly_recursive(induced_subposet(lp, ideal))
+        right = order_poly_recursive(induced_subposet(lp, full & ~ideal))
         for i, a in enumerate(left.coeffs):
             for j, b in enumerate(right.coeffs):
                 rhs[(i, j)] = rhs.get((i, j), Fraction(0)) + a * b
@@ -436,15 +421,14 @@ def omega_from_phi(lp: LabeledPoset) -> UniPoly:
 def derivative_identity_check(lp: LabeledPoset) -> bool:
     """dOmega/dt equals the phi-weighted convolutions, in both mirror forms."""
     full = lp.poset.full_mask
-    table: dict[tuple, ClassRecord] = {}
-    target = _order_poly(lp, table).derivative()
+    target = order_poly_recursive(lp).derivative()
     phi_of = _phi_per_class(lp)
     front = UniPoly()
     back = UniPoly()
     for ideal in enumerate_ideals(lp.poset):
         rest = full & ~ideal
         if ideal:
-            front = front + phi_of(ideal) * _order_poly(induced_subposet(lp, rest), table)
+            front = front + phi_of(ideal) * order_poly_recursive(induced_subposet(lp, rest))
         if ideal != full:
-            back = back + phi_of(rest) * _order_poly(induced_subposet(lp, ideal), table)
+            back = back + phi_of(rest) * order_poly_recursive(induced_subposet(lp, ideal))
     return front == target and back == target

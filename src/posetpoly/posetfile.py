@@ -9,11 +9,16 @@ Format, one item per line, `#` starts a comment anywhere:
 
 Without a labels line the elements get a natural labeling read off a
 linear extension.  Every rejection names the offending line.
+
+After every line is read, the covers are added in file order to the
+closed order by posets.add_cover, one mask OR per element of the new
+cover's down-set and up-set, so a cycle is reported on the first cover
+whose high end already precedes its low end.
 """
 
 from __future__ import annotations
 
-from posetpoly.posets import LabeledPoset, Poset, natural_labeling
+from posetpoly.posets import LabeledPoset, Poset, add_cover, natural_labeling
 
 __all__ = ["PosetParseError", "parse_poset_file", "render_poset_file"]
 
@@ -83,25 +88,12 @@ def parse_poset_file(text: str) -> LabeledPoset:
         covers.append((number, low, high))
 
     # grow the order one cover at a time so a cycle names its closing line
-    above = [0] * n
+    above, below = [0] * n, [0] * n
     for number, low, high in covers:
-        if (above[high] >> low) & 1:
+        if not add_cover(above, below, low, high):
             raise PosetParseError(number, f"cycle: {high} already precedes {low}")
-        stack = [(low, high)]
-        while stack:
-            x, y = stack.pop()
-            if (above[x] >> y) & 1:
-                continue
-            above[x] |= 1 << y
-            for z in range(n):
-                if (above[y] >> z) & 1 and not (above[x] >> z) & 1:
-                    stack.append((x, z))
-                if (above[z] >> x) & 1 and not (above[z] >> y) & 1:
-                    stack.append((z, y))
-        if any((above[e] >> e) & 1 for e in range(n)):
-            raise PosetParseError(number, f"cycle closed by {low} < {high}")
 
-    p = Poset(tuple(above))
+    p = Poset(above)
     return LabeledPoset(p, labels if labels is not None else natural_labeling(p))
 
 

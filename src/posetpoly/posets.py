@@ -1,9 +1,17 @@
 """Finite posets on 0..n-1 and injective labelings, all bitmask-backed.
 
 The strict order is stored as per-element masks: above[i] is the set of
-elements strictly greater than i (transitively closed at construction).
-Subsets of the ground set, ideals included, travel as plain int bitmasks
-throughout the package.
+elements strictly greater than i, transitively closed.  Subsets of the
+ground set, ideals included, travel as plain int bitmasks throughout the
+package.
+
+Every order built from covers (make_poset, the poset-file parser, the
+catalog) is closed by one routine, add_cover.  It adds one cover
+low < high to an order that is already closed: every element at or below
+low gains everything at or above high in one mask OR, and the below masks
+are updated the same way, so a cover costs one OR per element of that
+down-set and of that up-set.  A cover whose high end already precedes its
+low end would close a cycle and is refused.
 
 A labeling is an injective map to positive integers.  A subset S is
 omega-natural when the labeling restricted to S is order-preserving;
@@ -22,6 +30,7 @@ is refused with a ValueError as soon as it does.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
 from typing import Iterable, Sequence
@@ -132,30 +141,33 @@ class Poset:
         return f"Poset({list(self.above)!r})"
 
 
+def add_cover(above: list[int], below: list[int], low: int, high: int) -> bool:
+    """Add the cover low < high, low != high, to the closed strict order
+    (above, below) in place, keeping it closed.  Returns False, leaving the
+    order as it was, when high already precedes low (a cycle)."""
+    if (above[high] >> low) & 1:
+        return False
+    up = above[high] | (1 << high)
+    down = below[low] | (1 << low)
+    for x in iter_bits(down):
+        above[x] |= up
+    for y in iter_bits(up):
+        below[y] |= down
+    return True
+
+
 def make_poset(n: int, covers: Iterable[tuple[int, int]]) -> Poset:
     """Build the poset generated by cover relations low < high; rejects cycles."""
-    direct = [0] * n
+    above, below = [0] * n, [0] * n
+    acyclic = True
     for low, high in covers:
         if not (0 <= low < n and 0 <= high < n):
             raise ValueError(f"cover ({low}, {high}) references elements outside 0..{n - 1}")
         if low == high:
             raise ValueError(f"cover ({low}, {high}) relates an element to itself")
-        direct[low] |= 1 << high
-    # transitive closure by fixed point; a cycle shows up as i above itself
-    above = list(direct)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            reach = above[i]
-            for j in iter_bits(above[i]):
-                reach |= above[j]
-            if reach != above[i]:
-                above[i] = reach
-                changed = True
-    for i in range(n):
-        if (above[i] >> i) & 1:
-            raise ValueError("not a partial order: cover relation contains a cycle")
+        acyclic = add_cover(above, below, low, high) and acyclic
+    if not acyclic:
+        raise ValueError("not a partial order: cover relation contains a cycle")
     return Poset(above)
 
 
@@ -173,15 +185,21 @@ def make_shrub(n: int) -> Poset:
 
 
 def linear_extension(p: Poset) -> list[int]:
-    """A linear extension, smallest available index first (deterministic)."""
-    placed = 0
+    """A linear extension, smallest available index first (deterministic).
+
+    Kahn's algorithm over the closed order: an element becomes available
+    once every element below it is placed, and a heap hands out the
+    smallest available index."""
+    waiting = [mask.bit_count() for mask in p.below]
+    ready = [i for i in range(p.size) if not waiting[i]]
     order = []
-    for _ in range(p.size):
-        for i in range(p.size):
-            if not ((placed >> i) & 1) and p.below[i] & ~placed == 0:
-                order.append(i)
-                placed |= 1 << i
-                break
+    while ready:
+        x = heapq.heappop(ready)
+        order.append(x)
+        for y in iter_bits(p.above[x]):
+            waiting[y] -= 1
+            if not waiting[y]:
+                heapq.heappush(ready, y)
     return order
 
 

@@ -22,9 +22,9 @@ from __future__ import annotations
 from typing import Callable, Literal
 
 from posetpoly.framework import InvariantSpec, run_invariant
-from posetpoly.invariants import ClassRecord, labeled_children, labeled_record, order_poly_recursive
+from posetpoly.invariants import ClassRecord, labeled_children, order_poly_recursive
 from posetpoly.polynomials import UniPoly, nabla_inverse
-from posetpoly.posets import LabeledPoset, Poset, natural_labeling, reversed_labeling
+from posetpoly.posets import LabeledPoset, Poset, canonical_key, natural_labeling, reversed_labeling
 
 __all__ = [
     "count_subcalls",
@@ -76,7 +76,7 @@ def count_subcalls(p: Poset, flavor: Flavor) -> int:
     if flavor not in _LABELINGS:
         raise ValueError(f"unknown recursion flavor {flavor!r}")
     table: dict[tuple, ClassRecord] = {}
-    start = labeled_record(LabeledPoset(p, _LABELINGS[flavor](p)), table).key
+    start = canonical_key(LabeledPoset(p, _LABELINGS[flavor](p)))[1]
     seen = {start}
     pending = [start]
     requests = 0

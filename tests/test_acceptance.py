@@ -6,17 +6,11 @@ Stated runtime ceilings are asserted, not aspirational.
 import subprocess
 import sys
 import time
-from math import factorial
 
-from posetpoly.bernoulli import (
-    bernoulli_from_shrub,
-    bernoulli_integer_numerator,
-    bernoulli_multinomial,
-    bernoulli_numbers_oracle,
-    composition_sum_check,
-    shrub_order_poly_check,
-)
+from posetpoly.bernoulli import composition_sum_check
 from posetpoly.checks import (
+    check_antichain_eulerian,
+    check_bernoulli,
     check_chain_identities,
     check_eulerian_routes,
     check_framework,
@@ -26,13 +20,7 @@ from posetpoly.checks import (
     check_theta_powers,
     check_unlabeled,
 )
-from posetpoly.eulerian import (
-    antichain_eulerian_binomial,
-    antichain_eulerian_derivative,
-    eulerian_descent_oracle,
-    eulerian_from_chains,
-)
-from posetpoly.posets import LabeledPoset, make_antichain
+from posetpoly.posetfile import parse_poset_file
 
 
 def run_under(budget_seconds, fn):
@@ -54,18 +42,8 @@ def test_eulerian_routes_and_series_window_agree_on_small_catalog():
 
 
 def test_bernoulli_numbers_from_shrubs_match_recurrence_oracle():
-    def body():
-        table = bernoulli_numbers_oracle(20)
-        for n in range(1, 13):
-            assert bernoulli_from_shrub(n) == table.b[n]
-        for n in range(1, 16):
-            assert bernoulli_multinomial(n) == table.b[n]
-        for n in range(1, 21):
-            assert bernoulli_integer_numerator(n) == table.b[n] * factorial(n + 1)
-        for n in range(1, 9):
-            assert shrub_order_poly_check(n)
-
-    run_under(60, body)
+    ok, detail = run_under(60, check_bernoulli)
+    assert ok, detail
 
 
 def test_composition_sum_identity_holds_and_rescales_to_bernoulli():
@@ -74,17 +52,8 @@ def test_composition_sum_identity_holds_and_rescales_to_bernoulli():
 
 
 def test_antichain_eulerian_recursions_match_descent_oracle():
-    def body():
-        for n in range(1, 11):
-            poly = antichain_eulerian_binomial(n)
-            assert poly == antichain_eulerian_derivative(n)
-            lp = LabeledPoset(make_antichain(n), tuple(range(1, n + 1)))
-            assert poly == eulerian_from_chains(lp).e
-            assert poly(1) == factorial(n)
-            if n <= 8:
-                assert poly == eulerian_descent_oracle(n)
-
-    run_under(60, body)
+    ok, detail = run_under(60, check_antichain_eulerian)
+    assert ok, detail
 
 
 def test_structural_identities_hold_on_small_catalog():
@@ -145,3 +114,26 @@ def test_cli_check_suite_and_parse_errors(tmp_path):
     )
     assert done.returncode == 2
     assert "line 2" in done.stderr
+
+
+def test_long_chain_parses_within_ceiling():
+    n = 800
+    text = f"elements: {n}\n" + "".join(f"{i} < {i + 1}\n" for i in range(n - 1))
+    lp = run_under(2, lambda: parse_poset_file(text))
+    assert [mask.bit_count() for mask in lp.poset.above] == list(range(n - 1, -1, -1))
+    assert lp.omega == tuple(range(1, n + 1))
+
+
+def test_oversized_antichain_reaches_the_budget_fast():
+    done = run_under(
+        10,
+        lambda: subprocess.run(
+            [sys.executable, "-m", "posetpoly", "phi", "-"],
+            input="elements: 30000\n",
+            capture_output=True,
+            text=True,
+            timeout=60,
+        ),
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "POSET_ORACLE_MAX" in done.stderr

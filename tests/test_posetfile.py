@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from posetpoly.posetfile import PosetParseError, parse_poset_file, render_poset_file
@@ -76,3 +78,65 @@ def test_transitive_cover_input_is_tolerated():
     direct = parse_poset_file("elements: 3\n0 < 1\n1 < 2\n0 < 2\n")
     minimal = parse_poset_file("elements: 3\n0 < 1\n1 < 2\n")
     assert direct.poset == minimal.poset
+
+
+def naive_closure(n, covers):
+    """Warshall's closure of the cover relation, as above masks."""
+    above = [0] * n
+    for low, high in covers:
+        above[low] |= 1 << high
+    for k in range(n):
+        for i in range(n):
+            if (above[i] >> k) & 1:
+                above[i] |= above[k]
+    return tuple(above)
+
+
+def random_cover_list(rng, n):
+    """Covers of a random order on n elements in shuffled file order, with
+    transitive and repeated covers mixed in."""
+    rank = list(range(n))
+    rng.shuffle(rank)
+    covers = [(a, b) for a in range(n) for b in range(n) if rank[a] < rank[b] and rng.random() < 0.3]
+    closed = naive_closure(n, covers)
+    implied = [(a, b) for a in range(n) for b in range(n) if (closed[a] >> b) & 1]
+    covers += rng.sample(implied, min(len(implied), rng.randint(0, 3)))
+    covers += rng.sample(covers, min(len(covers), rng.randint(0, 2)))
+    rng.shuffle(covers)
+    return covers
+
+
+def render_covers(n, covers):
+    return f"elements: {n}\n" + "".join(f"{low} < {high}\n" for low, high in covers)
+
+
+def test_parsed_order_is_the_closure_of_its_covers():
+    rng = random.Random(1414)
+    for _ in range(300):
+        n = rng.randint(0, 10)
+        covers = random_cover_list(rng, n)
+        expected = naive_closure(n, covers)
+        assert parse_poset_file(render_covers(n, covers)).poset.above == expected
+        assert make_poset(n, covers).above == expected
+
+
+def test_cycle_is_reported_on_the_first_line_that_closes_one():
+    rng = random.Random(2718)
+    cycles = 0
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        covers = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 2 * n))]
+        text = render_covers(n, covers)
+        for index, (low, high) in enumerate(covers):
+            if (naive_closure(n, covers[:index])[high] >> low) & 1:
+                cycles += 1
+                with pytest.raises(PosetParseError) as info:
+                    parse_poset_file(text)
+                assert info.value.line == index + 2
+                assert str(info.value) == f"line {index + 2}: cycle: {high} already precedes {low}"
+                with pytest.raises(ValueError, match="cycle"):
+                    make_poset(n, covers)
+                break
+        else:
+            assert parse_poset_file(text).poset.above == naive_closure(n, covers)
+    assert cycles > 50

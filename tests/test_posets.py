@@ -113,6 +113,43 @@ def test_linear_extension_respects_order():
                 assert pos[i] < pos[j]
 
 
+def reference_linear_extension(p: Poset) -> list[int]:
+    """At each step the smallest unplaced index whose lower set is placed."""
+    placed = 0
+    order = []
+    for _ in range(p.size):
+        for i in range(p.size):
+            if not ((placed >> i) & 1) and p.below[i] & ~placed == 0:
+                order.append(i)
+                placed |= 1 << i
+                break
+    return order
+
+
+def relabeled(p: Poset, perm: list[int]) -> Poset:
+    """p with element i renamed perm[i]."""
+    above = [0] * p.size
+    for i in range(p.size):
+        above[perm[i]] = sum(1 << perm[j] for j in iter_bits(p.above[i]))
+    return Poset(above)
+
+
+def test_linear_extension_matches_the_smallest_index_first_reference():
+    rng = random.Random(4242)
+    posets = []
+    for p in posets_up_to(6):
+        perm = list(range(p.size))
+        rng.shuffle(perm)
+        posets += [p, relabeled(p, perm)]
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        posets.append(relabeled(random_poset(rng, n), perm))
+    for p in posets:
+        assert linear_extension(p) == reference_linear_extension(p)
+
+
 def test_labeling_validation():
     p = make_chain(2)
     with pytest.raises(ValueError):
