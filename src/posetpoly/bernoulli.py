@@ -18,16 +18,11 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterator
 
+from posetpoly import stats
 from posetpoly.invariants import order_poly_recursive, phi
 from posetpoly.omegagraph import build_omega_graph, count_paths
 from posetpoly.polynomials import UniPoly
-from posetpoly.posets import (
-    ORACLE_BOUND_ENV,
-    LabeledPoset,
-    _oracle_bound,
-    make_shrub,
-    reversed_labeling,
-)
+from posetpoly.posets import LabeledPoset, make_shrub, reversed_labeling
 
 __all__ = [
     "BernoulliTable",
@@ -107,17 +102,15 @@ def _multinomial(parts: tuple[int, ...]) -> int:
 def bernoulli_multinomial(n: int) -> Fraction:
     """The alternating composition sum
     sum_k (-1)^k/(k+1) * sum over compositions of n into k parts of the
-    multinomial coefficient.  It visits all 2^(n-1) compositions of n, so
-    like the other oracles it refuses more than B^B of them, B the oracle
-    bound."""
+    multinomial coefficient.  It visits all 2^(n-1) compositions of n,
+    charged to the compositions budget."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    bound = _oracle_bound()
-    if 2 ** (n - 1) > bound**bound:
-        raise ValueError(
-            f"b_{n} sums over 2^{n - 1} compositions, over the enumeration budget "
-            f"{bound}^{bound}; set {ORACLE_BOUND_ENV} to raise it"
-        )
+    stats.charge(
+        "compositions",
+        2 ** (n - 1),
+        lambda b: f"b_{n} sums over 2^{n - 1} compositions, over the enumeration budget {b}^{b}",
+    )
     total = Fraction(0)
     for k in range(1, n + 1):
         inner = sum(_multinomial(c) for c in compositions(n, k))

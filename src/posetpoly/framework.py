@@ -21,10 +21,9 @@ prepends the part m to a composition, M_alpha -> M_((m) + alpha), and
 compositions with more than N parts drop.  Its class records are those of
 invariants, which Omega and e/etilde share; the coordinates of a class of
 more than 5 elements hold N, so a call with another N recomputes them.
-qsym_direct enumerates maps and shares the oracle's budget; qsym_recursive
-counts its monomials before it expands them and refuses more than that
-budget too, and run_invariant refuses a qsym spec whose shifts would write
-more exponents than that budget.
+qsym_direct, qsym_recursive and run_invariant's qsym specs are metered by
+posetpoly.stats as maps, monomials and exponents, each counted before any
+expansion.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from itertools import chain, combinations, product
 from math import comb
 from typing import Callable, Mapping
 
+from posetpoly import stats
 from posetpoly.invariants import (
     SMALL_CLASS_MAX,
     Step,
@@ -46,9 +46,7 @@ from posetpoly.invariants import (
 from posetpoly.localized import LocalizedRatio
 from posetpoly.polynomials import RationalLike, UniPoly, _as_fraction, delta_inverse
 from posetpoly.posets import (
-    ORACLE_BOUND_ENV,
     LabeledPoset,
-    _oracle_bound,
     canonical_key,
     induced_subposet,
     iter_bits,
@@ -228,15 +226,12 @@ def lambda_operator(q: QSymTruncated, m: int) -> QSymTruncated:
 def qsym_direct(lp: LabeledPoset, nvars: int) -> QSymTruncated:
     """Sum the monomial of every order- and label-compatible map into
     {1..nvars}: weakly increasing along the order, strictly where the
-    label decreases.  Like the order-polynomial oracle it is size-bounded:
-    with B the oracle bound it enumerates at most B^B maps."""
+    label decreases.  Like the order-polynomial oracle it charges its
+    nvars^|P| maps to the maps budget."""
     n = lp.size
-    bound = _oracle_bound()
-    if nvars**n > bound**bound:
-        raise ValueError(
-            f"{nvars}^{n} maps exceed the enumeration budget {bound}^{bound}; "
-            f"set {ORACLE_BOUND_ENV} to raise it"
-        )
+    stats.charge(
+        "maps", nvars**n, lambda b: f"{nvars}^{n} maps exceed the enumeration budget {b}^{b}"
+    )
     if n == 0:
         return QSymTruncated.one(nvars)
     pairs = []
@@ -289,19 +284,19 @@ def run_invariant(spec: InvariantSpec, lp: LabeledPoset) -> object:
 
 
 def _check_shift_budget(nvars: int, size: int) -> None:
-    """Refuse a qsym recursion in Fractions that would write more than B^B
-    exponents, B the oracle bound.  A value on size points has at most
+    """Charge the exponents a qsym recursion in Fractions would write to the
+    exponents budget.  A value on size points has at most
     C(nvars+size-1, size) monomials, one per monomial of degree size
     (Σ_k C(nvars, k)·C(size-1, k-1), k the nonzero exponents), and
     lambda_operator writes each monomial once per variable, nvars exponents
     at a time; no expansion is needed to count this."""
-    bound = _oracle_bound()
     count = nvars * nvars * comb(nvars + size - 1, size)
-    if count > bound**bound:
-        raise ValueError(
-            f"qsym:{nvars} on {size} points writes up to {count} exponents, over the "
-            f"enumeration budget {bound}^{bound}; set {ORACLE_BOUND_ENV} to raise it"
-        )
+    stats.charge(
+        "exponents",
+        count,
+        lambda b: f"qsym:{nvars} on {size} points writes up to {count} exponents, over the "
+        f"enumeration budget {b}^{b}",
+    )
 
 
 def _run(spec: InvariantSpec, memo: dict[tuple, object], lp: LabeledPoset) -> object:
@@ -442,30 +437,23 @@ def _monomial_expansion(coords: tuple[int, ...], size: int, nvars: int) -> QSymT
     return QSymTruncated(nvars, terms)
 
 
-def _check_monomial_budget(coords: tuple[int, ...], size: int, nvars: int) -> None:
-    """Refuse an expansion into more than B^B monomials, B the oracle bound:
-    M_alpha has C(nvars, parts of alpha) of them."""
-    bound = _oracle_bound()
-    pairs = iter(coords)
-    count = sum(
-        comb(nvars, sums.bit_count() + 1 if size else 0) for sums, c in zip(pairs, pairs) if c
-    )
-    if count > bound**bound:
-        raise ValueError(
-            f"{count} monomials in {nvars} variables exceed the enumeration budget "
-            f"{bound}^{bound}; set {ORACLE_BOUND_ENV} to raise it"
-        )
-
-
 def qsym_recursive(lp: LabeledPoset, nvars: int) -> QSymTruncated:
     """The quasi-symmetric recursion in integer composition coordinates.
-    Like qsym_direct it is bounded: with B the oracle bound it expands at
-    most B^B monomials."""
+    Its monomials are charged to the monomials budget before they expand:
+    M_alpha has C(nvars, parts of alpha) of them."""
     if nvars < 1:
         raise ValueError("need at least one variable")
     record, table = top_record(lp, nvars)
     coords = class_coordinates(record, "qsym", _composition_step(nvars), table)
-    _check_monomial_budget(coords, lp.size, nvars)
+    pairs = iter(coords)
+    count = sum(
+        comb(nvars, sums.bit_count() + 1 if lp.size else 0) for sums, c in zip(pairs, pairs) if c
+    )
+    stats.charge(
+        "monomials",
+        count,
+        lambda b: f"{count} monomials in {nvars} variables exceed the enumeration budget {b}^{b}",
+    )
     last = record.qsym_value  # a small class keeps the value of its latest nvars
     if last is not None and last[0] == nvars:
         return last[1]

@@ -9,10 +9,9 @@ The three routes:
 3. recursion: apply the inverse forward difference to the sum of order
    polynomials of complements of nonempty omega-natural ideals.
 
-Route 1 is the semantic definition and deliberately dumb; its size bound
-(default 7, override with the POSET_ORACLE_MAX environment variable) keeps
-the n^|P| enumeration honest.  Routes 2 and 3 scale further and must agree
-with it exactly.
+Route 1 is the semantic definition and deliberately dumb; the maps budget
+of posetpoly.stats keeps its enumeration honest.  Routes 2 and 3 scale
+further and must agree with it exactly.
 
 Route 3 runs in integers.  In the binomial basis C(t,k) the inverse
 difference is an index shift, C(t,k) -> C(t,k+1), so Omega = sum_k c_k C(t,k)
@@ -46,14 +45,13 @@ from itertools import product
 from math import comb, factorial, lcm
 from typing import Callable
 
+from posetpoly import stats
 from posetpoly.matrices import PolyMatrix, matrix_exp_scaled, matrix_log_unipotent
 from posetpoly.omegagraph import OmegaGraph, build_omega_graph, path_counts
 from posetpoly.polynomials import UniPoly, from_binomial_basis, lagrange_interpolate
 from posetpoly.posets import (
-    ORACLE_BOUND_ENV,
     LabeledPoset,
     Poset,
-    _oracle_bound,
     canonical_key,
     enumerate_ideals,
     induced_relation,
@@ -61,7 +59,7 @@ from posetpoly.posets import (
     iter_bits,
     omega_natural_ideals,
 )
-from posetpoly.stats import COUNTERS
+from posetpoly.stats import COUNTERS, ORACLE_BOUND_ENV
 
 __all__ = [
     "ORACLE_BOUND_ENV",
@@ -84,12 +82,7 @@ def order_poly_bruteforce(lp: LabeledPoset) -> UniPoly:
     increases across any covering pair whose labels decrease.
     """
     n = lp.size
-    bound = _oracle_bound()
-    if n > bound:
-        raise ValueError(
-            f"poset size {n} exceeds the brute-force bound {bound}; "
-            f"set {ORACLE_BOUND_ENV} to raise it"
-        )
+    stats.charge("maps", n**n, lambda b: f"poset size {n} exceeds the brute-force bound {b}")
     if n == 0:
         return UniPoly([1])
     constraints = []

@@ -44,18 +44,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from posetpoly import stats
 from posetpoly.matrices import RatMatrix
 from posetpoly.polynomials import UniPoly
 from posetpoly.posets import (
     LabeledPoset,
-    _ideal_budget_error,
-    _oracle_bound,
+    _too_many_ideals,
     canonical_key,
     enumerate_ideals,
     iter_bits,
     linear_extension,
 )
-from posetpoly.stats import COUNTERS
 
 __all__ = [
     "OmegaGraph",
@@ -185,8 +184,8 @@ def _search_path_counts(lp: LabeledPoset) -> PathCounts:
     once, along its elements in position order, so each node of the search
     is one arc I -> I + S and costs one shift-add of count_paths' packed
     counts.  A node is pushed only when it has a cover above its last bit.
-    Like enumerate_ideals it refuses a lattice of more than B^B ideals, B
-    the oracle bound.
+    Like enumerate_ideals it is metered as the ideals kind of
+    posetpoly.stats and stops at its budget.
     """
     p = lp.poset
     size = p.size
@@ -201,14 +200,14 @@ def _search_path_counts(lp: LabeledPoset) -> PathCounts:
         need = sum(1 << position[y] for y in lower)
         larger = sum(1 << position[y] for y in lower if lp.omega[y] > lp.omega[e])
         steps.append((k, need, larger))
-    bound = _oracle_bound()
-    budget = bound**bound
+    budget = stats.limit()
     ideals = [0]
     for k, need, _ in reversed(steps):
         bit = 1 << k
         ideals += [ideal | bit for ideal in ideals if ideal & need == need]
         if len(ideals) > budget:
-            raise _ideal_budget_error(bound)
+            break
+    stats.charge("ideals", len(ideals), _too_many_ideals, budget)
     index = {ideal: v for v, ideal in enumerate(ideals)}
     covers = [
         [
@@ -255,9 +254,9 @@ def path_counts(lp: LabeledPoset) -> PathCounts:
     key = canonical_key(lp)
     last = _LAST_PATHS
     if last is not None and last[0] == key:
-        COUNTERS["path_slot_hits"] += 1
+        stats.COUNTERS["path_slot_hits"] += 1
         return last[1]
-    COUNTERS["path_slot_misses"] += 1
+    stats.COUNTERS["path_slot_misses"] += 1
     counts = _search_path_counts(lp)
     _LAST_PATHS = (key, counts)
     return counts

@@ -22,18 +22,18 @@ Ideals grow along a linear extension: each element in turn joins every
 ideal grown so far that holds its lower set, one list comprehension per
 element, and the list is sorted once at the end.  The omega-natural ideals
 grow the same way over only the elements with no larger-labeled element
-below them, so they are never filtered out of all ideals.  Every
-enumeration shares one budget: with B the oracle bound (default 7, set by
-the POSET_ORACLE_MAX environment variable) a list that passes B^B ideals
-is refused with a ValueError as soon as it does.
+below them, so they are never filtered out of all ideals.  Both are
+metered as the ideals kind of posetpoly.stats, whose budget they stop at.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from typing import Iterable, Sequence
+
+from posetpoly import stats
+from posetpoly.stats import ORACLE_BOUND_ENV  # noqa: F401  (re-exported)
 
 __all__ = [
     "Poset",
@@ -54,29 +54,6 @@ __all__ = [
     "unlabeled_canonical_key",
     "iter_bits",
 ]
-
-
-ORACLE_BOUND_ENV = "POSET_ORACLE_MAX"
-_DEFAULT_ORACLE_BOUND = 7
-
-
-def _oracle_bound() -> int:
-    """The oracle bound B, which caps every enumeration in the package at
-    B^B items: the POSET_ORACLE_MAX environment variable, else 7."""
-    raw = os.environ.get(ORACLE_BOUND_ENV)
-    if raw is None:
-        return _DEFAULT_ORACLE_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ORACLE_BOUND_ENV} must be an integer, got {raw!r}") from None
-
-
-def _ideal_budget_error(bound: int) -> ValueError:
-    return ValueError(
-        f"more than {bound}^{bound} ideals exceed the enumeration budget; "
-        f"set {ORACLE_BOUND_ENV} to raise it"
-    )
 
 
 def iter_bits(mask: int):
@@ -267,10 +244,9 @@ def _grow_ideals(p: Poset, admitted: int) -> list[int]:
     admitted x joins every ideal grown so far that holds its lower set, so
     after each step the list holds exactly the ideals among the elements
     taken.  The list at most doubles per step and is refused as soon as it
-    holds more than B^B ideals, B the oracle bound.
+    passes the budget.
     """
-    bound = _oracle_bound()
-    budget = bound**bound
+    budget = stats.limit()
     below = p.below
     ideals = [0]
     for x in sorted(range(p.size), key=lambda e: below[e].bit_count()):
@@ -279,10 +255,15 @@ def _grow_ideals(p: Poset, admitted: int) -> list[int]:
             bit = 1 << x
             ideals += [ideal | bit for ideal in ideals if ideal & need == need]
             if len(ideals) > budget:
-                raise _ideal_budget_error(bound)
+                break
+    stats.charge("ideals", len(ideals), _too_many_ideals, budget)
     ideals.sort()
     ideals.sort(key=int.bit_count)  # stable: (cardinality, mask)
     return ideals
+
+
+def _too_many_ideals(bound: int) -> str:
+    return f"more than {bound}^{bound} ideals exceed the enumeration budget"
 
 
 def enumerate_ideals(p: Poset) -> list[int]:
@@ -290,9 +271,8 @@ def enumerate_ideals(p: Poset) -> list[int]:
 
     Grown along a linear extension, every element admitted.  The
     (cardinality, mask) order puts the empty set first, the whole set
-    last, and containment always means a smaller index.  Raises ValueError
-    when there are more than B^B ideals, B the oracle bound
-    (POSET_ORACLE_MAX, default 7).
+    last, and containment always means a smaller index.  Raises
+    stats.BudgetError past the ideal budget.
     """
     return _grow_ideals(p, p.full_mask)
 
@@ -302,7 +282,7 @@ def omega_natural_ideals(lp: LabeledPoset) -> list[int]:
     order.  An ideal holds all of a member's lower set, so these are exactly
     the ideals that avoid every element with a larger-labeled element below
     it; they are grown along a linear extension with only the other elements
-    admitted.  Raises ValueError past the same budget of B^B ideals."""
+    admitted.  Raises stats.BudgetError past the same budget."""
     violated = 0
     for mask in lp._violators:
         violated |= mask
@@ -351,14 +331,7 @@ def canonical_key(lp: LabeledPoset) -> tuple[int, tuple[int, ...]]:
     rank order pin the class exactly.
     """
     order = sorted(range(lp.size), key=lambda e: lp.omega[e])
-    position = {e: k for k, e in enumerate(order)}
-    above = []
-    for e in order:
-        mask = 0
-        for y in iter_bits(lp.poset.above[e]):
-            mask |= 1 << position[y]
-        above.append(mask)
-    return (lp.size, tuple(above))
+    return (lp.size, _relation_under_order(lp.poset, order))
 
 
 def _refine_colors(p: Poset) -> list[int]:

@@ -1,8 +1,25 @@
-"""Work counters the package keeps about itself.
+"""Work counters the package keeps about itself, and the one budget that
+bounds every enumeration.
 
-Each counter is one integer in a module-level dict, bumped where the work
-happens, so reading them costs nothing and bumping them costs one dict
-store per event:
+Every route enumerates something that grows exponentially, and each such
+enumeration makes one call, charge(kind, count, describe).  With B the
+oracle bound, the POSET_ORACLE_MAX environment variable (an integer, at
+least 1; default 7), a count above B^B (823,543 at B = 7) raises
+BudgetError, a ValueError reading describe(B) + "; set POSET_ORACLE_MAX to
+raise it", on which the CLI exits 1.  Any other count is added to
+COUNTERS[kind].  The kinds, and what each budget counts:
+
+- ideals: the lists grown by posets.enumerate_ideals and
+  omega_natural_ideals and by the search of omegagraph.path_counts, which
+  read limit() once and stop as soon as a list passes it;
+- maps: N^|P| maps into [N] per call of framework.qsym_direct and of
+  invariants.order_poly_bruteforce (N = |P|, so |P| <= B);
+- exponents: those a qsym:N spec of framework.run_invariant would write,
+  per class;
+- monomials: those framework.qsym_recursive expands;
+- compositions: the 2^(n-1) that bernoulli.bernoulli_multinomial sums.
+
+The other counters take one dict store per event:
 
 - small_class_expansions / large_class_expansions: labeled classes of at
   most / more than SMALL_CLASS_MAX points whose children were listed
@@ -19,19 +36,54 @@ invariants.
 
 from __future__ import annotations
 
-__all__ = ["snapshot", "reset"]
+import os
+from typing import Callable
+
+__all__ = ["ORACLE_BOUND_ENV", "BudgetError", "limit", "charge", "snapshot", "reset"]
+
+ORACLE_BOUND_ENV = "POSET_ORACLE_MAX"
+_DEFAULT_ORACLE_BOUND = 7
 
 COUNTERS: dict[str, int] = dict.fromkeys(
-    (
-        "small_class_expansions",
-        "large_class_expansions",
-        "class_slot_hits",
-        "class_slot_misses",
-        "path_slot_hits",
-        "path_slot_misses",
-    ),
+    "ideals maps exponents monomials compositions small_class_expansions "
+    "large_class_expansions class_slot_hits class_slot_misses path_slot_hits "
+    "path_slot_misses".split(),
     0,
 )
+
+
+class BudgetError(ValueError):
+    """An enumeration past the budget of B^B items."""
+
+
+def _bound() -> int:
+    raw = os.environ.get(ORACLE_BOUND_ENV)
+    if raw is None:
+        return _DEFAULT_ORACLE_BOUND
+    try:
+        bound = int(raw)
+    except ValueError:
+        raise ValueError(f"{ORACLE_BOUND_ENV} must be an integer, got {raw!r}") from None
+    if bound < 1:
+        raise ValueError(f"{ORACLE_BOUND_ENV} must be at least 1, got {raw!r}")
+    return bound
+
+
+def limit() -> int:
+    """B^B, the most items one enumeration may hold."""
+    bound = _bound()
+    return bound**bound
+
+
+def charge(kind: str, count: int, describe: Callable[[int], str], budget: int = 0) -> None:
+    """Count one enumeration of count items under kind, or refuse it with
+    BudgetError when count passes B^B; describe(B) words the refusal.  A
+    loop that has read limit() passes it as budget (0, the default, reads
+    it here), so that B is read once per enumeration."""
+    if count > (budget or limit()):
+        bound = _bound()
+        raise BudgetError(f"{describe(bound)}; set {ORACLE_BOUND_ENV} to raise it")
+    COUNTERS[kind] += count
 
 
 def snapshot() -> dict[str, int]:

@@ -1,0 +1,161 @@
+"""The work meter: every enumeration budget refuses with stats.BudgetError
+and its own message, and every admitted enumeration is counted under its
+kind."""
+
+import pytest
+
+from posetpoly import omegagraph, stats
+from posetpoly.bernoulli import bernoulli_multinomial
+from posetpoly.cli import main
+from posetpoly.framework import qsym_direct, qsym_recursive, qsym_spec, run_invariant
+from posetpoly.invariants import order_poly_bruteforce
+from posetpoly.omegagraph import path_counts
+from posetpoly.posets import (
+    ORACLE_BOUND_ENV,
+    LabeledPoset,
+    enumerate_ideals,
+    make_antichain,
+    make_chain,
+    make_shrub,
+    natural_labeling,
+    omega_natural_ideals,
+)
+
+
+def natural(p):
+    return LabeledPoset(p, natural_labeling(p))
+
+
+KINDS = ("ideals", "maps", "exponents", "monomials", "compositions")
+IDEALS_REFUSED = "more than 3^3 ideals exceed the enumeration budget"
+
+# at B = 3, each site just past its budget of 3^3 = 27, the kind it charges
+# and its message
+REFUSALS = [
+    (lambda: enumerate_ideals(make_antichain(5)), "ideals", IDEALS_REFUSED),
+    (lambda: omega_natural_ideals(natural(make_antichain(5))), "ideals", IDEALS_REFUSED),
+    (lambda: path_counts(natural(make_antichain(5))), "ideals", IDEALS_REFUSED),
+    (
+        lambda: order_poly_bruteforce(natural(make_antichain(4))),
+        "maps",
+        "poset size 4 exceeds the brute-force bound 3",
+    ),
+    (
+        lambda: qsym_direct(natural(make_chain(2)), 6),
+        "maps",
+        "6^2 maps exceed the enumeration budget 3^3",
+    ),
+    (
+        lambda: qsym_recursive(natural(make_antichain(2)), 7),
+        "monomials",
+        "28 monomials in 7 variables exceed the enumeration budget 3^3",
+    ),
+    (
+        lambda: run_invariant(qsym_spec(3), natural(make_antichain(2))),
+        "exponents",
+        "qsym:3 on 2 points writes up to 54 exponents, over the enumeration budget 3^3",
+    ),
+    (
+        lambda: bernoulli_multinomial(6),
+        "compositions",
+        "b_6 sums over 2^5 compositions, over the enumeration budget 3^3",
+    ),
+]
+
+# at B = 3, each site at or just under its budget, and what it charges
+ADMITTED = [
+    (lambda: order_poly_bruteforce(natural(make_antichain(3))), "maps", 27),
+    (lambda: qsym_direct(natural(make_chain(2)), 5), "maps", 25),
+    (lambda: qsym_recursive(natural(make_antichain(2)), 6), "monomials", 6 + 15),
+    # the 1-point class and then the empty one: 9·C(3,1) + 9·C(2,0)
+    (lambda: run_invariant(qsym_spec(3), natural(make_antichain(1))), "exponents", 27 + 9),
+    (lambda: bernoulli_multinomial(5), "compositions", 16),
+]
+
+
+@pytest.mark.parametrize(
+    "call, kind, message",
+    REFUSALS,
+    ids=[
+        "enumerate_ideals",
+        "omega_natural_ideals",
+        "path_counts",
+        "order_poly_bruteforce",
+        "qsym_direct",
+        "qsym_recursive",
+        "run_invariant",
+        "bernoulli_multinomial",
+    ],
+)
+def test_each_budget_refuses_with_its_own_message(monkeypatch, call, kind, message):
+    monkeypatch.setenv(ORACLE_BOUND_ENV, "3")
+    monkeypatch.setattr(omegagraph, "_LAST_PATHS", None)  # a slot hit would skip the search
+    stats.reset()
+    with pytest.raises(stats.BudgetError) as refused:
+        call()
+    assert str(refused.value) == message + "; set POSET_ORACLE_MAX to raise it"
+    assert stats.snapshot()[kind] == 0
+
+
+@pytest.mark.parametrize(
+    "call, kind, count",
+    ADMITTED,
+    ids=["order_poly_bruteforce", "qsym_direct", "qsym_recursive", "run_invariant", "multinomial"],
+)
+def test_each_budget_counts_what_it_admits(monkeypatch, call, kind, count):
+    monkeypatch.setenv(ORACLE_BOUND_ENV, "3")
+    stats.reset()
+    call()
+    assert stats.snapshot()[kind] == count
+
+
+def test_ideal_enumeration_adds_its_length_and_a_refusal_adds_nothing(monkeypatch):
+    stats.reset()
+    ideals = enumerate_ideals(make_shrub(4))
+    assert stats.snapshot()["ideals"] == len(ideals) == 17
+    omega_natural_ideals(natural(make_antichain(3)))
+    assert stats.snapshot()["ideals"] == 17 + 8
+    monkeypatch.setenv(ORACLE_BOUND_ENV, "2")
+    with pytest.raises(stats.BudgetError):
+        enumerate_ideals(make_antichain(3))
+    assert stats.snapshot()["ideals"] == 25
+
+
+def test_bound_one_admits_one_item(monkeypatch):
+    monkeypatch.setenv(ORACLE_BOUND_ENV, "1")
+    assert enumerate_ideals(make_antichain(0)) == [0]
+    with pytest.raises(stats.BudgetError, match=r"more than 1\^1 ideals"):
+        enumerate_ideals(make_antichain(1))
+    assert order_poly_bruteforce(natural(make_antichain(1)))(2) == 2
+    with pytest.raises(stats.BudgetError, match="poset size 2 exceeds the brute-force bound 1"):
+        order_poly_bruteforce(natural(make_chain(2)))
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ("eight", "POSET_ORACLE_MAX must be an integer, got 'eight'"),
+        ("0", "POSET_ORACLE_MAX must be at least 1, got '0'"),
+        ("-1", "POSET_ORACLE_MAX must be at least 1, got '-1'"),
+        ("-2", "POSET_ORACLE_MAX must be at least 1, got '-2'"),
+    ],
+)
+def test_bound_must_be_a_positive_integer(monkeypatch, capsys, raw, message):
+    monkeypatch.setenv(ORACLE_BOUND_ENV, raw)
+    for call in (lambda: enumerate_ideals(make_antichain(0)), lambda: bernoulli_multinomial(1)):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message
+    assert main(["bernoulli", "--n", "1", "--route", "multinomial"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_every_counter_reads_zero_after_a_reset():
+    enumerate_ideals(make_antichain(4))
+    for call, _, _ in ADMITTED:
+        call()
+    assert all(stats.snapshot()[kind] for kind in KINDS)
+    stats.reset()
+    counts = stats.snapshot()
+    assert set(KINDS) <= set(counts)
+    assert set(counts.values()) == {0}
