@@ -271,7 +271,8 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
         if match is None or int(match.group(1)) < 1:
             raise ValueError(f"unknown invariant spec {name!r}")
         nvars = int(match.group(1))
-        _check_shift_budget(nvars, lp.size)  # before qsym_spec builds an nvars-long vector
+        # refuse before qsym_spec builds an nvars-long vector; run_invariant charges the class
+        _check_shift_budget(nvars, lp.size, charged=False)
         value = run_invariant(qsym_spec(nvars), lp)
         assert isinstance(value, QSymTruncated)
         body, plain = {"terms": _qsym_terms(value)}, value.render()

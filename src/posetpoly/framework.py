@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations, product
 from math import comb
 from typing import Callable, Mapping
@@ -227,7 +227,8 @@ def qsym_direct(lp: LabeledPoset, nvars: int) -> QSymTruncated:
     """Sum the monomial of every order- and label-compatible map into
     {1..nvars}: weakly increasing along the order, strictly where the
     label decreases.  Like the order-polynomial oracle it charges its
-    nvars^|P| maps to the maps budget."""
+    nvars^|P| maps to the maps budget.  The maps are counted in ints, which
+    QSymTruncated turns into shared Fractions."""
     n = lp.size
     stats.charge(
         "maps", nvars**n, lambda b: f"{nvars}^{n} maps exceed the enumeration budget {b}^{b}"
@@ -238,7 +239,7 @@ def qsym_direct(lp: LabeledPoset, nvars: int) -> QSymTruncated:
     for x in range(n):
         for y in iter_bits(lp.poset.above[x]):
             pairs.append((x, y, lp.omega[x] > lp.omega[y]))
-    accumulated: dict[tuple[int, ...], Fraction] = {}
+    accumulated: dict[tuple[int, ...], int] = {}
     for f in product(range(1, nvars + 1), repeat=n):
         ok = True
         for x, y, strict in pairs:
@@ -250,7 +251,7 @@ def qsym_direct(lp: LabeledPoset, nvars: int) -> QSymTruncated:
             for v in f:
                 exps[v - 1] += 1
             key = tuple(exps)
-            accumulated[key] = accumulated.get(key, Fraction(0)) + 1
+            accumulated[key] = accumulated.get(key, 0) + 1
     return QSymTruncated(nvars, accumulated)
 
 
@@ -283,16 +284,18 @@ def run_invariant(spec: InvariantSpec, lp: LabeledPoset) -> object:
     return _run(spec, {}, lp)
 
 
-def _check_shift_budget(nvars: int, size: int) -> None:
+def _check_shift_budget(nvars: int, size: int, charged: bool = True) -> None:
     """Charge the exponents a qsym recursion in Fractions would write to the
     exponents budget.  A value on size points has at most
     C(nvars+size-1, size) monomials, one per monomial of degree size
     (Σ_k C(nvars, k)·C(size-1, k-1), k the nonzero exponents), and
     lambda_operator writes each monomial once per variable, nvars exponents
-    at a time; no expansion is needed to count this."""
+    at a time; no expansion is needed to count this.  With charged False
+    the same count is refused but not counted, for a caller that checks
+    before run_invariant charges the class."""
     count = nvars * nvars * comb(nvars + size - 1, size)
-    stats.charge(
-        "exponents",
+    meter = partial(stats.charge, "exponents") if charged else stats.admit
+    meter(
         count,
         lambda b: f"qsym:{nvars} on {size} points writes up to {count} exponents, over the "
         f"enumeration budget {b}^{b}",
@@ -440,10 +443,14 @@ def _monomial_expansion(coords: tuple[int, ...], size: int, nvars: int) -> QSymT
 def qsym_recursive(lp: LabeledPoset, nvars: int) -> QSymTruncated:
     """The quasi-symmetric recursion in integer composition coordinates.
     Its monomials are charged to the monomials budget before they expand:
-    M_alpha has C(nvars, parts of alpha) of them."""
+    M_alpha has C(nvars, parts of alpha) of them.  A small class that kept
+    its value for this nvars returns it, expanding and charging nothing."""
     if nvars < 1:
         raise ValueError("need at least one variable")
     record, table = top_record(lp, nvars)
+    last = record.qsym_value  # a small class keeps the value of its latest nvars
+    if last is not None and last[0] == nvars:
+        return last[1]
     coords = class_coordinates(record, "qsym", _composition_step(nvars), table)
     pairs = iter(coords)
     count = sum(
@@ -454,9 +461,6 @@ def qsym_recursive(lp: LabeledPoset, nvars: int) -> QSymTruncated:
         count,
         lambda b: f"{count} monomials in {nvars} variables exceed the enumeration budget {b}^{b}",
     )
-    last = record.qsym_value  # a small class keeps the value of its latest nvars
-    if last is not None and last[0] == nvars:
-        return last[1]
     value = _monomial_expansion(coords, lp.size, nvars)
     if lp.size <= SMALL_CLASS_MAX:
         record.qsym_value = (nvars, value)

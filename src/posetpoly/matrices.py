@@ -8,17 +8,19 @@ strict shrub with 12 leaves has 527,346 arcs on 4,097 ideals, about 129
 per row.  Matrices never mutate after construction; every operation
 allocates a fresh result.
 
-matrix_log_unipotent and matrix_exp_scaled implement ln(I+A) and e^{tΦ}
-for strictly upper triangular A: nilpotency truncates both series at the
-dimension, so everything stays in exact rational arithmetic.  The module
-serves that route (invariants.theta_matrix) and the check of Θ at integer
-times against products of I + A (checks.check_theta_powers).
+matrix_log_unipotent and matrix_exp_row implement ln(I+A) and one row of
+e^{tΦ} for strictly upper triangular A: nilpotency truncates both series
+at the dimension, so everything stays in exact rational arithmetic.  A
+row of e^{tΦ} costs one row-vector × Φ product per power of Φ, so the
+order-polynomial route (invariants.order_poly_matrix), which reads one
+entry of Θ, exponentiates only the source row.  matrix_exp_scaled stacks
+every row, for the full Θ of invariants.theta_matrix and the check of Θ
+at integer times against products of I + A (checks.check_theta_powers).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from posetpoly.polynomials import RationalLike, UniPoly
@@ -27,6 +29,7 @@ __all__ = [
     "RatMatrix",
     "PolyMatrix",
     "matrix_log_unipotent",
+    "matrix_exp_row",
     "matrix_exp_scaled",
 ]
 
@@ -157,24 +160,36 @@ def matrix_log_unipotent(a: RatMatrix) -> RatMatrix:
     return result
 
 
-def matrix_exp_scaled(phi: RatMatrix) -> PolyMatrix:
-    """Θ(t) = e^{tΦ} = Σ_{k≥0} Φ^k t^k / k!, truncated at nilpotency."""
+def matrix_exp_row(phi: RatMatrix, i: int) -> dict[int, UniPoly]:
+    """Row i of Θ(t) = e^{tΦ}, by column: Σ_k (e_i·Φ^k)_j t^k/k!, built
+    by row-vector × Φ products until the row vanishes, which takes at
+    most as many products as the dimension since Φ is nilpotent.  Only
+    nonzero entries are kept."""
     if not phi.is_strictly_upper_triangular():
         raise ValueError("matrix must be strictly upper triangular")
-    n = phi.dimension
-    rows: list[dict[int, list[Fraction]]] = [{} for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = [Fraction(1)]
-    power = phi
-    k = 1
-    while not power.is_zero():
-        inv_fact = Fraction(1, factorial(k))
-        for i in range(n):
-            for j, v in power.row(i).items():
-                coeffs = rows[i].setdefault(j, [])
-                while len(coeffs) < k + 1:
-                    coeffs.append(Fraction(0))
-                coeffs[k] += v * inv_fact
-        power = power * phi
+    return _exp_row(phi, i)
+
+
+def matrix_exp_scaled(phi: RatMatrix) -> PolyMatrix:
+    """Θ(t) = e^{tΦ} = Σ_{k≥0} Φ^k t^k / k!, as the stack of its rows."""
+    if not phi.is_strictly_upper_triangular():
+        raise ValueError("matrix must be strictly upper triangular")
+    return PolyMatrix(phi.dimension, [_exp_row(phi, i) for i in range(phi.dimension)])
+
+
+def _exp_row(phi: RatMatrix, i: int) -> dict[int, UniPoly]:
+    coeffs: dict[int, list[Fraction]] = {i: [Fraction(1)]}
+    term: dict[int, Fraction] = {i: Fraction(1)}  # e_i·Φ^k/k!
+    k = 0
+    while term:
         k += 1
-    return PolyMatrix(n, [{j: UniPoly(c) for j, c in r.items()} for r in rows])
+        product: dict[int, Fraction] = {}
+        for c, v in term.items():
+            for j, w in phi.row(c).items():
+                product[j] = product.get(j, 0) + v * w
+        term = {j: v / k for j, v in product.items() if v}
+        for j, v in term.items():
+            column = coeffs.setdefault(j, [])
+            column.extend([Fraction(0)] * (k - len(column)))
+            column.append(v)
+    return {j: UniPoly(c) for j, c in coeffs.items()}

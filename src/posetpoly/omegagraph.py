@@ -95,8 +95,13 @@ class OmegaGraph:
 
 
 def build_omega_graph(lp: LabeledPoset) -> OmegaGraph:
+    return _graph_on_ideals(lp, enumerate_ideals(lp.poset))
+
+
+def _graph_on_ideals(lp: LabeledPoset, ideals: list[int]) -> OmegaGraph:
+    """build_omega_graph on the ideals enumerate_ideals(lp.poset) returned,
+    for a caller that meters the arc search by the ideal count first."""
     p = lp.poset
-    ideals = enumerate_ideals(p)
     # renumber along a linear extension: the lowest bit of any undecided set is minimal in it
     moved = {1 << e: 1 << k for k, e in enumerate(linear_extension(p))}
 

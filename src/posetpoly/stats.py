@@ -16,8 +16,12 @@ COUNTERS[kind].  The kinds, and what each budget counts:
   invariants.order_poly_bruteforce (N = |P|, so |P| <= B);
 - exponents: those a qsym:N spec of framework.run_invariant would write,
   per class;
-- monomials: those framework.qsym_recursive expands;
-- compositions: the 2^(n-1) that bernoulli.bernoulli_multinomial sums.
+- monomials: those framework.qsym_recursive expands (a small class
+  returning its kept value expands none);
+- compositions: the 2^(n-1) that bernoulli.bernoulli_multinomial sums;
+- matrix: |P|^2·d^2 per log/exp of the matrix route over an ω-graph of d
+  ideals (invariants.order_poly_matrix and theta_matrix), charged before
+  the arc search.
 
 The other counters take one dict store per event:
 
@@ -29,9 +33,10 @@ The other counters take one dict store per event:
   large-class table in the one slot of invariants;
 - path_slot_hits / path_slot_misses: the same for omegagraph.path_counts.
 
-snapshot() copies the counters; reset() sets them all to 0.  The module is
-not exported from posetpoly: it reports on the implementation, not on the
-invariants.
+admit(count, describe) refuses as charge does but counts nothing, for a
+check made ahead of the enumeration that charges.  snapshot() copies the
+counters; reset() sets them all to 0.  The module is not exported from
+posetpoly: it reports on the implementation, not on the invariants.
 """
 
 from __future__ import annotations
@@ -39,13 +44,13 @@ from __future__ import annotations
 import os
 from typing import Callable
 
-__all__ = ["ORACLE_BOUND_ENV", "BudgetError", "limit", "charge", "snapshot", "reset"]
+__all__ = ["ORACLE_BOUND_ENV", "BudgetError", "limit", "admit", "charge", "snapshot", "reset"]
 
 ORACLE_BOUND_ENV = "POSET_ORACLE_MAX"
 _DEFAULT_ORACLE_BOUND = 7
 
 COUNTERS: dict[str, int] = dict.fromkeys(
-    "ideals maps exponents monomials compositions small_class_expansions "
+    "ideals maps exponents monomials compositions matrix small_class_expansions "
     "large_class_expansions class_slot_hits class_slot_misses path_slot_hits "
     "path_slot_misses".split(),
     0,
@@ -75,14 +80,19 @@ def limit() -> int:
     return bound**bound
 
 
-def charge(kind: str, count: int, describe: Callable[[int], str], budget: int = 0) -> None:
-    """Count one enumeration of count items under kind, or refuse it with
-    BudgetError when count passes B^B; describe(B) words the refusal.  A
-    loop that has read limit() passes it as budget (0, the default, reads
-    it here), so that B is read once per enumeration."""
+def admit(count: int, describe: Callable[[int], str], budget: int = 0) -> None:
+    """Refuse an enumeration of count items with BudgetError when count
+    passes B^B; describe(B) words the refusal.  A loop that has read
+    limit() passes it as budget (0, the default, reads it here), so that B
+    is read once per enumeration."""
     if count > (budget or limit()):
         bound = _bound()
         raise BudgetError(f"{describe(bound)}; set {ORACLE_BOUND_ENV} to raise it")
+
+
+def charge(kind: str, count: int, describe: Callable[[int], str], budget: int = 0) -> None:
+    """admit an enumeration of count items and count it under kind."""
+    admit(count, describe, budget)
     COUNTERS[kind] += count
 
 

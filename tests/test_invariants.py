@@ -25,6 +25,7 @@ from posetpoly.posets import (
     LabeledPoset,
     make_antichain,
     make_chain,
+    make_poset,
     make_shrub,
     natural_labeling,
     reversed_labeling,
@@ -86,6 +87,28 @@ def test_triple_route_agreement_small_catalog():
         brute = order_poly_bruteforce(lp)
         assert order_poly_matrix(lp) == brute
         assert order_poly_recursive(lp) == brute
+
+
+def _dense_labeled_poset(rng, n):
+    """A random order on n elements with about 2 in 5 pairs related, drawn
+    along a shuffled linear extension, under a random labeling."""
+    rank = list(range(n))
+    rng.shuffle(rank)
+    covers = [(rank[a], rank[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4]
+    omega = list(range(1, n + 1))
+    rng.shuffle(omega)
+    return LabeledPoset(make_poset(n, covers), omega)
+
+
+def test_matrix_route_reads_the_source_row_of_theta():
+    """order_poly_matrix exponentiates only Θ's source row; the full Θ and
+    the recursion must give the same polynomial."""
+    rng = random.Random(5150)
+    inputs = labeled_catalog(5) + [_dense_labeled_poset(rng, 8 + k % 3) for k in range(20)]
+    for lp in inputs:
+        theta = theta_matrix(lp)
+        expected = theta.entry(theta.graph.source, theta.graph.sink)
+        assert order_poly_matrix(lp) == expected == order_poly_recursive(lp), lp
 
 
 def test_oracle_bound_env_override(monkeypatch):

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction as Fr
+from math import factorial
 
 import pytest
 
 from posetpoly.matrices import (
     PolyMatrix,
     RatMatrix,
+    matrix_exp_row,
     matrix_exp_scaled,
     matrix_log_unipotent,
 )
@@ -110,6 +112,35 @@ def test_exp_two_by_two():
 def test_exp_rejects_nontriangular():
     with pytest.raises(ValueError):
         matrix_exp_scaled(RatMatrix.from_rows([[0, 0], [1, 0]]))
+    with pytest.raises(ValueError):
+        matrix_exp_row(RatMatrix.from_rows([[0, 0], [1, 0]]), 0)
+
+
+def exp_by_powers(phi: RatMatrix) -> list[list[UniPoly]]:
+    """Σ_k Φ^k t^k/k! entry by entry, from full matrix powers."""
+    n = phi.dimension
+    coeffs = [[[] for _ in range(n)] for _ in range(n)]
+    power, k = RatMatrix.identity(n), 0
+    while not power.is_zero():
+        for i in range(n):
+            for j in range(n):
+                coeffs[i][j].append(power.entry(i, j) / factorial(k))
+        power, k = power * phi, k + 1
+    return [[UniPoly(c) for c in row] for row in coeffs]
+
+
+def test_exp_row_is_a_row_of_the_exponential():
+    rng = random.Random(31337)
+    for _ in range(12):
+        n = rng.randint(1, 9)
+        phi = random_strict_upper(rng, n)
+        theta = matrix_exp_scaled(phi)
+        reference = exp_by_powers(phi)
+        for i in range(n):
+            row = matrix_exp_row(phi, i)
+            assert all(row.values())  # only nonzero entries are kept
+            for j in range(n):
+                assert row.get(j, UniPoly()) == theta.entry(i, j) == reference[i][j]
 
 
 def test_exp_log_round_trip_at_integer_powers():

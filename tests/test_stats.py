@@ -4,11 +4,11 @@ kind."""
 
 import pytest
 
-from posetpoly import omegagraph, stats
+from posetpoly import invariants, omegagraph, stats
 from posetpoly.bernoulli import bernoulli_multinomial
 from posetpoly.cli import main
 from posetpoly.framework import qsym_direct, qsym_recursive, qsym_spec, run_invariant
-from posetpoly.invariants import order_poly_bruteforce
+from posetpoly.invariants import order_poly_bruteforce, order_poly_matrix, theta_matrix
 from posetpoly.omegagraph import path_counts
 from posetpoly.posets import (
     ORACLE_BOUND_ENV,
@@ -90,6 +90,7 @@ ADMITTED = [
 def test_each_budget_refuses_with_its_own_message(monkeypatch, call, kind, message):
     monkeypatch.setenv(ORACLE_BOUND_ENV, "3")
     monkeypatch.setattr(omegagraph, "_LAST_PATHS", None)  # a slot hit would skip the search
+    monkeypatch.setattr(invariants, "_SMALL_LABELED", {})  # a kept qsym value would skip it too
     stats.reset()
     with pytest.raises(stats.BudgetError) as refused:
         call()
@@ -104,6 +105,7 @@ def test_each_budget_refuses_with_its_own_message(monkeypatch, call, kind, messa
 )
 def test_each_budget_counts_what_it_admits(monkeypatch, call, kind, count):
     monkeypatch.setenv(ORACLE_BOUND_ENV, "3")
+    monkeypatch.setattr(invariants, "_SMALL_LABELED", {})  # a kept qsym value expands nothing
     stats.reset()
     call()
     assert stats.snapshot()[kind] == count
@@ -150,7 +152,8 @@ def test_bound_must_be_a_positive_integer(monkeypatch, capsys, raw, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_every_counter_reads_zero_after_a_reset():
+def test_every_counter_reads_zero_after_a_reset(monkeypatch):
+    monkeypatch.setattr(invariants, "_SMALL_LABELED", {})  # a kept qsym value expands nothing
     enumerate_ideals(make_antichain(4))
     for call, _, _ in ADMITTED:
         call()
@@ -159,3 +162,61 @@ def test_every_counter_reads_zero_after_a_reset():
     counts = stats.snapshot()
     assert set(KINDS) <= set(counts)
     assert set(counts.values()) == {0}
+
+
+def test_a_kept_qsym_value_charges_no_monomials(monkeypatch):
+    monkeypatch.setattr(invariants, "_SMALL_LABELED", {})
+    three = natural(make_antichain(3))
+    stats.reset()
+    first = qsym_recursive(three, 3)
+    assert stats.snapshot()["monomials"] == 3 + 3 + 3 + 1  # M_(3), M_(2,1), M_(1,2), M_(1,1,1)
+    assert qsym_recursive(three, 3) is first
+    assert stats.snapshot()["monomials"] == 10
+    monkeypatch.setenv(ORACLE_BOUND_ENV, "2")
+    with pytest.raises(stats.BudgetError):
+        qsym_recursive(three, 4)  # an expansion is still refused: 4 + 6 + 6 + 4 > 2^2
+    assert stats.snapshot()["monomials"] == 10
+
+
+def test_the_cli_charges_the_top_qsym_class_once(tmp_path):
+    path = tmp_path / "antichain.poset"
+    path.write_text("elements: 3\n")
+    stats.reset()
+    run_invariant(qsym_spec(3), natural(make_antichain(3)))
+    alone = stats.snapshot()["exponents"]
+    stats.reset()
+    assert main(["invariant", str(path), "--spec", "qsym:3"]) == 0
+    assert stats.snapshot()["exponents"] == alone == 180
+
+
+MATRIX_REFUSED = (
+    "the matrix route on 2 points and 3 ideals weighs 2^2*3^2 = 36, over the enumeration "
+    "budget 3^3; set POSET_ORACLE_MAX to raise it"
+)
+
+
+@pytest.mark.parametrize("route", [order_poly_matrix, theta_matrix])
+def test_the_matrix_budget_weighs_points_and_ideals(monkeypatch, route):
+    monkeypatch.setenv(ORACLE_BOUND_ENV, "3")
+    stats.reset()
+    route(natural(make_chain(1)))  # 1^2 * 2^2
+    assert stats.snapshot()["matrix"] == 4
+    with pytest.raises(stats.BudgetError) as refused:
+        route(natural(make_chain(2)))
+    assert str(refused.value) == MATRIX_REFUSED
+    assert stats.snapshot()["matrix"] == 4
+
+
+def test_the_matrix_budget_refuses_before_the_arc_search(monkeypatch):
+    def no_arc_search(lp, ideals):
+        raise AssertionError("the arc search ran")
+
+    monkeypatch.setattr(invariants, "_graph_on_ideals", no_arc_search)
+    stats.reset()
+    # default bound 7: 12^2 * 4096^2 is far past 7^7, 10^2 * 1024^2 and 8^2 * 256^2 too
+    for n in (12, 10, 8):
+        with pytest.raises(stats.BudgetError, match=f"on {n} points and {2**n} ideals"):
+            order_poly_matrix(natural(make_antichain(n)))
+    with pytest.raises(stats.BudgetError, match="on 30 points and 31 ideals"):
+        order_poly_matrix(natural(make_chain(30)))
+    assert stats.snapshot()["matrix"] == 0
