@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from math import comb
 from typing import Callable, Mapping
 
@@ -39,6 +39,7 @@ from posetpoly import stats
 from posetpoly.invariants import (
     SMALL_CLASS_MAX,
     Step,
+    admissible_maps,
     class_coordinates,
     order_poly_recursive,
     top_record,
@@ -49,7 +50,6 @@ from posetpoly.posets import (
     LabeledPoset,
     canonical_key,
     induced_subposet,
-    iter_bits,
     omega_natural_ideals,
 )
 
@@ -226,30 +226,23 @@ def lambda_operator(q: QSymTruncated, m: int) -> QSymTruncated:
 def qsym_direct(lp: LabeledPoset, nvars: int) -> QSymTruncated:
     """Sum the monomial of every order- and label-compatible map into
     {1..nvars}: weakly increasing along the order, strictly where the
-    label decreases.  Like the order-polynomial oracle it charges its
-    nvars^|P| maps to the maps budget.  The maps are counted in ints, which
-    QSymTruncated turns into shared Fractions."""
+    label decreases.  It walks the same admissible maps as the
+    order-polynomial oracle (invariants.admissible_maps, value v standing
+    for x_(v+1)), each of the nvars^|P| maps once, and charges them to the
+    maps budget.  The maps are counted in ints, which QSymTruncated turns
+    into shared Fractions."""
     n = lp.size
     stats.charge(
         "maps", nvars**n, lambda b: f"{nvars}^{n} maps exceed the enumeration budget {b}^{b}"
     )
     if n == 0:
         return QSymTruncated.one(nvars)
-    pairs = []
-    for x in range(n):
-        for y in iter_bits(lp.poset.above[x]):
-            pairs.append((x, y, lp.omega[x] > lp.omega[y]))
     accumulated: dict[tuple[int, ...], int] = {}
-    for f in product(range(1, nvars + 1), repeat=n):
-        ok = True
-        for x, y, strict in pairs:
-            if f[x] > f[y] or (strict and f[x] == f[y]):
-                ok = False
-                break
-        if ok:
+    for largest in range(nvars):
+        for f in admissible_maps(lp, largest):
             exps = [0] * nvars
             for v in f:
-                exps[v - 1] += 1
+                exps[v] += 1
             key = tuple(exps)
             accumulated[key] = accumulated.get(key, 0) + 1
     return QSymTruncated(nvars, accumulated)

@@ -2,11 +2,12 @@
 
 The three routes:
 
-1. brute force: count the admissible maps P -> [n] for n up to |P| and
+1. brute force: count the admissible maps P -> [n] for n up to |P| in
+   one pass over the maps into [|P|], binned by largest value, and
    interpolate (with the structural zero at t = 0);
 2. matrix: the (empty, full) entry of Theta(t) = exp(t·ln(I + A)) over the
-   ideal-graph adjacency A, from the whole log and the source row of the
-   exponential;
+   ideal-graph adjacency A, from the log and the source row of the
+   exponential, both built row by row by posetpoly.matrices;
 3. recursion: apply the inverse forward difference to the sum of order
    polynomials of complements of nonempty omega-natural ideals.
 
@@ -43,9 +44,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import comb, factorial, lcm
-from typing import Callable
+from typing import Callable, Iterator
 
 from posetpoly import stats
 from posetpoly.matrices import (
@@ -83,33 +84,35 @@ __all__ = [
     "derivative_identity_check",
 ]
 
-def order_poly_bruteforce(lp: LabeledPoset) -> UniPoly:
-    """Count admissible maps into [n] directly and interpolate.
+def admissible_maps(lp: LabeledPoset, largest: int) -> Iterator[tuple[int, ...]]:
+    """Yield the admissible maps f: P -> {0..largest} whose largest value
+    is `largest`, as tuples indexed by element: order-preserving, and
+    strict on every relation x < y whose labels decrease.  One product of
+    ranges per element that first takes the largest value, so largest =
+    0..N-1 walks each of the N^|P| maps into [N] once."""
+    n = lp.size
+    constraints = [
+        (x, y, lp.omega[x] > lp.omega[y]) for x in range(n) for y in iter_bits(lp.poset.above[x])
+    ]
+    below, up_to = range(largest), range(largest + 1)
+    for first in range(n):
+        for f in product(*[below] * first, (largest,), *[up_to] * (n - 1 - first)):
+            for x, y, strict in constraints:
+                if f[x] > f[y] or (strict and f[x] == f[y]):
+                    break
+            else:
+                yield f
 
-    A map f is admissible when it is order-preserving and strictly
-    increases across any covering pair whose labels decrease.
-    """
+
+def order_poly_bruteforce(lp: LabeledPoset) -> UniPoly:
+    """Count the admissible maps into [n] for each n up to |P| in one pass
+    over the |P|^|P| maps into [|P|], by largest value, and interpolate."""
     n = lp.size
     stats.charge("maps", n**n, lambda b: f"poset size {n} exceeds the brute-force bound {b}")
     if n == 0:
         return UniPoly([1])
-    constraints = []
-    for x in range(n):
-        for y in iter_bits(lp.poset.above[x]):
-            constraints.append((x, y, lp.omega[x] > lp.omega[y]))
-    points: list[tuple[int, int]] = [(0, 0)]
-    for top in range(1, n + 1):
-        count = 0
-        for f in product(range(top), repeat=n):
-            ok = True
-            for x, y, strict in constraints:
-                if f[x] > f[y] or (strict and f[x] == f[y]):
-                    ok = False
-                    break
-            if ok:
-                count += 1
-        points.append((top, count))
-    return lagrange_interpolate(points)
+    counts = accumulate(sum(1 for _ in admissible_maps(lp, largest)) for largest in range(n))
+    return lagrange_interpolate([(0, 0), *enumerate(counts, 1)])
 
 
 @dataclass(frozen=True)

@@ -9,19 +9,22 @@ per row.  Matrices never mutate after construction; every operation
 allocates a fresh result.
 
 matrix_log_unipotent and matrix_exp_row implement ln(I+A) and one row of
-e^{tΦ} for strictly upper triangular A: nilpotency truncates both series
-at the dimension, so everything stays in exact rational arithmetic.  A
-row of e^{tΦ} costs one row-vector × Φ product per power of Φ, so the
-order-polynomial route (invariants.order_poly_matrix), which reads one
-entry of Θ, exponentiates only the source row.  matrix_exp_scaled stacks
-every row, for the full Θ of invariants.theta_matrix and the check of Θ
-at integer times against products of I + A (checks.check_theta_powers).
+e^{tΦ} for strictly upper triangular A on one kernel, _row_powers, which
+yields e_i·M, e_i·M², … by row-vector × M products until the row
+vanishes: nilpotency truncates both series at the dimension, so
+everything stays exact.  Row i of Φ is Σ_k (-1)^{k+1}(e_i·A^k)/k and row
+i of Θ(t) is Σ_k (e_i·Φ^k)t^k/k!; the order-polynomial route
+(invariants.order_poly_matrix) exponentiates only the source row.
+matrix_exp_scaled stacks every row, for the full Θ of
+invariants.theta_matrix and the check of Θ at integer times against the
+powers of I + A that + and * compute (checks.check_theta_powers).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from math import factorial
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from posetpoly.polynomials import RationalLike, UniPoly
 
@@ -50,10 +53,6 @@ class RatMatrix:
             raise ValueError("row count does not match dimension")
 
     @classmethod
-    def zeros(cls, n: int) -> RatMatrix:
-        return cls(n, [{} for _ in range(n)])
-
-    @classmethod
     def identity(cls, n: int) -> RatMatrix:
         return cls(n, [{i: Fraction(1)} for i in range(n)])
 
@@ -73,11 +72,8 @@ class RatMatrix:
     def row(self, i: int) -> Mapping[int, Fraction]:
         return self._rows[i]
 
-    def is_zero(self) -> bool:
-        return all(not r for r in self._rows)
-
     def is_strictly_upper_triangular(self) -> bool:
-        return all(all(j > i for j in row) for i, row in enumerate(self._rows))
+        return all(all(i < j < self.dimension for j in row) for i, row in enumerate(self._rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatMatrix):
@@ -93,10 +89,6 @@ class RatMatrix:
                 merged[j] = merged.get(j, Fraction(0)) + v
             rows.append(merged)
         return RatMatrix(self.dimension, rows)
-
-    def scaled(self, factor: RationalLike) -> RatMatrix:
-        f = Fraction(factor)
-        return RatMatrix(self.dimension, [{j: v * f for j, v in r.items()} for r in self._rows])
 
     def __mul__(self, other: RatMatrix) -> RatMatrix:
         self._check_same_shape(other)
@@ -147,26 +139,29 @@ class PolyMatrix:
 
 
 def matrix_log_unipotent(a: RatMatrix) -> RatMatrix:
-    """Φ = ln(I + A) = Σ_{k≥1} (-1)^{k+1} A^k / k, truncated at nilpotency."""
+    """Φ = ln(I + A) = Σ_{k≥1} (-1)^{k+1} A^k / k, truncated at nilpotency,
+    as the stack of its rows Σ_k (-1)^{k+1}(e_i·A^k)/k."""
     if not a.is_strictly_upper_triangular():
         raise ValueError("matrix must be strictly upper triangular")
-    result = RatMatrix.zeros(a.dimension)
-    power = a
-    k = 1
-    while not power.is_zero():
-        result = result + power.scaled(Fraction((-1) ** (k + 1), k))
-        power = power * a
-        k += 1
-    return result
+    rows = []
+    for i in range(a.dimension):
+        row: dict[int, Fraction] = {}
+        for k, power in enumerate(_row_powers(a, i), 1):
+            coefficient = Fraction((-1) ** (k + 1), k)
+            for j, v in power.items():
+                row[j] = row.get(j, 0) + coefficient * v
+        rows.append(row)
+    return RatMatrix(a.dimension, rows)
 
 
 def matrix_exp_row(phi: RatMatrix, i: int) -> dict[int, UniPoly]:
-    """Row i of Θ(t) = e^{tΦ}, by column: Σ_k (e_i·Φ^k)_j t^k/k!, built
-    by row-vector × Φ products until the row vanishes, which takes at
-    most as many products as the dimension since Φ is nilpotent.  Only
-    nonzero entries are kept."""
+    """Row i of Θ(t) = e^{tΦ}, by column: Σ_k (e_i·Φ^k)_j t^k/k!, which
+    takes at most as many row-vector × Φ products as the dimension since
+    Φ is nilpotent.  Only nonzero entries are kept; i must index a row."""
     if not phi.is_strictly_upper_triangular():
         raise ValueError("matrix must be strictly upper triangular")
+    if not 0 <= i < phi.dimension:
+        raise ValueError(f"row {i} is outside 0..{phi.dimension - 1}")
     return _exp_row(phi, i)
 
 
@@ -177,19 +172,24 @@ def matrix_exp_scaled(phi: RatMatrix) -> PolyMatrix:
     return PolyMatrix(phi.dimension, [_exp_row(phi, i) for i in range(phi.dimension)])
 
 
+def _row_powers(m: RatMatrix, i: int) -> Iterator[Mapping[int, Fraction]]:
+    """Yield e_i·M, e_i·M², … for strictly upper triangular M, as sparse
+    rows without zeros, until the row vanishes.  Callers only read them."""
+    row = m._rows[i]
+    while row:
+        yield row
+        product: dict[int, Fraction] = {}
+        for c, v in row.items():
+            for j, w in m._rows[c].items():
+                product[j] = product.get(j, 0) + v * w
+        row = {j: v for j, v in product.items() if v}
+
+
 def _exp_row(phi: RatMatrix, i: int) -> dict[int, UniPoly]:
     coeffs: dict[int, list[Fraction]] = {i: [Fraction(1)]}
-    term: dict[int, Fraction] = {i: Fraction(1)}  # e_i·Φ^k/k!
-    k = 0
-    while term:
-        k += 1
-        product: dict[int, Fraction] = {}
-        for c, v in term.items():
-            for j, w in phi.row(c).items():
-                product[j] = product.get(j, 0) + v * w
-        term = {j: v / k for j, v in product.items() if v}
-        for j, v in term.items():
+    for k, power in enumerate(_row_powers(phi, i), 1):
+        for j, v in power.items():
             column = coeffs.setdefault(j, [])
             column.extend([Fraction(0)] * (k - len(column)))
-            column.append(v)
+            column.append(v / factorial(k))
     return {j: UniPoly(c) for j, c in coeffs.items()}

@@ -13,7 +13,8 @@ COUNTERS[kind].  The kinds, and what each budget counts:
   omega_natural_ideals and by the search of omegagraph.path_counts, which
   read limit() once and stop as soon as a list passes it;
 - maps: N^|P| maps into [N] per call of framework.qsym_direct and of
-  invariants.order_poly_bruteforce (N = |P|, so |P| <= B);
+  invariants.order_poly_bruteforce (N = |P|, so |P| <= B), the work done:
+  both walk each map once (invariants.admissible_maps);
 - exponents: those a qsym:N spec of framework.run_invariant would write,
   per class;
 - monomials: those framework.qsym_recursive expands (a small class

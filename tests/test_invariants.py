@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Fr
+from itertools import product
 
 import pytest
 
@@ -8,6 +9,7 @@ from posetpoly.checks import theta_subposet_check
 from posetpoly.invariants import (
     ORACLE_BOUND_ENV,
     ThetaMatrix,
+    admissible_maps,
     convolution_check,
     derivative_identity_check,
     omega_from_phi,
@@ -69,6 +71,32 @@ def test_antichains_give_monomials():
         p = make_antichain(n)
         for omega in standard_labelings(p, random_count=2):
             assert order_poly_bruteforce(LabeledPoset(p, omega)) == T**n
+
+
+def test_admissible_maps_split_the_maps_by_largest_value():
+    """Over largest = 0..N-1 every map into [N] is walked once: the yields
+    are the admissible maps of one filtered product, without repeats."""
+    for lp in labeled_catalog(4):
+        if lp.size == 0:
+            continue
+        n = lp.size
+        for top in range(1, n + 2):
+            walked = [f for largest in range(top) for f in admissible_maps(lp, largest)]
+            expected = {
+                f
+                for f in product(range(top), repeat=n)
+                if all(
+                    f[x] <= f[y] and (lp.omega[x] < lp.omega[y] or f[x] < f[y])
+                    for x in range(n)
+                    for y in range(n)
+                    if lp.poset.above[x] >> y & 1
+                )
+            }
+            assert len(walked) == len(expected) and set(walked) == expected
+            for largest in range(top):
+                assert all(max(f) == largest for f in admissible_maps(lp, largest))
+    antichain = natural(make_antichain(4))
+    assert sum(1 for largest in range(3) for _ in admissible_maps(antichain, largest)) == 3**4
 
 
 def test_two_chain_both_labelings():

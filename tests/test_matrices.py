@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from posetpoly.catalog import labeled_catalog
 from posetpoly.matrices import (
     PolyMatrix,
     RatMatrix,
@@ -11,6 +12,7 @@ from posetpoly.matrices import (
     matrix_exp_scaled,
     matrix_log_unipotent,
 )
+from posetpoly.omegagraph import build_omega_graph
 from posetpoly.polynomials import UniPoly
 
 T = UniPoly.variable()
@@ -23,6 +25,14 @@ def random_strict_upper(rng: random.Random, n: int) -> RatMatrix:
             if rng.random() < 0.6:
                 rows[i][j] = Fr(rng.randint(-3, 3), rng.randint(1, 3))
     return RatMatrix(n, rows)
+
+
+def zero_matrix(n: int) -> RatMatrix:
+    return RatMatrix.from_rows([[0] * n for _ in range(n)])
+
+
+def scalar_matrix(n: int, c: Fr) -> RatMatrix:
+    return RatMatrix(n, [{i: c} for i in range(n)])
 
 
 # --- RatMatrix basics ---
@@ -46,7 +56,8 @@ def test_identity_and_multiplication():
     eye = RatMatrix.identity(5)
     assert a * eye == a
     assert eye * a == a
-    assert (a + a.scaled(-1)).is_zero()
+    negated = RatMatrix(5, [{j: -v for j, v in a.row(i).items()} for i in range(5)])
+    assert a + negated == zero_matrix(5)
 
 
 def test_strict_upper_triangular_predicate():
@@ -55,11 +66,18 @@ def test_strict_upper_triangular_predicate():
     assert not RatMatrix.from_rows([[0, 0], [1, 0]]).is_strictly_upper_triangular()
 
 
+def test_strict_upper_triangular_rejects_column_past_dimension():
+    a = RatMatrix(2, [{5: Fr(1)}, {}])
+    assert not a.is_strictly_upper_triangular()
+    with pytest.raises(ValueError):
+        matrix_log_unipotent(a)
+
+
 def test_multiplication_matches_dense_rule():
     rng = random.Random(1234)
     for _ in range(10):
         n = rng.randint(1, 4)
-        a = random_strict_upper(rng, n) + RatMatrix.identity(n).scaled(rng.randint(-2, 2))
+        a = random_strict_upper(rng, n) + scalar_matrix(n, Fr(rng.randint(-2, 2)))
         b = random_strict_upper(rng, n)
         prod = a * b
         for i in range(n):
@@ -72,7 +90,7 @@ def test_multiplication_matches_dense_rule():
 
 
 def test_log_of_zero_matrix():
-    assert matrix_log_unipotent(RatMatrix.zeros(3)).is_zero()
+    assert matrix_log_unipotent(zero_matrix(3)) == zero_matrix(3)
 
 
 def test_log_two_by_two():
@@ -93,12 +111,33 @@ def test_log_rejects_nontriangular():
         matrix_log_unipotent(RatMatrix.identity(2))
 
 
+def log_by_powers(a: RatMatrix) -> RatMatrix:
+    """Σ_k (-1)^{k+1} A^k/k from full matrix powers."""
+    n = a.dimension
+    result, power, k = zero_matrix(n), a, 1
+    while power != zero_matrix(n):
+        result = result + power * scalar_matrix(n, Fr((-1) ** (k + 1), k))
+        power, k = power * a, k + 1
+    return result
+
+
+def test_log_matches_full_matrix_powers():
+    rng = random.Random(4242)
+    for n in range(1, 10):
+        for _ in range(3):
+            a = random_strict_upper(rng, n)
+            assert matrix_log_unipotent(a) == log_by_powers(a)
+    for lp in labeled_catalog(5):
+        a = build_omega_graph(lp).adjacency()
+        assert matrix_log_unipotent(a) == log_by_powers(a)
+
+
 # --- scaled exponential ---
 
 
 def test_exp_of_zero_is_identity():
     identity = PolyMatrix(3, [{i: UniPoly([1])} for i in range(3)])
-    assert matrix_exp_scaled(RatMatrix.zeros(3)) == identity
+    assert matrix_exp_scaled(zero_matrix(3)) == identity
 
 
 def test_exp_two_by_two():
@@ -116,12 +155,20 @@ def test_exp_rejects_nontriangular():
         matrix_exp_row(RatMatrix.from_rows([[0, 0], [1, 0]]), 0)
 
 
+def test_exp_row_rejects_row_outside_matrix():
+    shift = RatMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    assert matrix_exp_row(shift, 1) == {1: UniPoly([1]), 2: T}
+    for i in (-2, -1, 3):
+        with pytest.raises(ValueError):
+            matrix_exp_row(shift, i)
+
+
 def exp_by_powers(phi: RatMatrix) -> list[list[UniPoly]]:
     """Σ_k Φ^k t^k/k! entry by entry, from full matrix powers."""
     n = phi.dimension
     coeffs = [[[] for _ in range(n)] for _ in range(n)]
     power, k = RatMatrix.identity(n), 0
-    while not power.is_zero():
+    while power != zero_matrix(n):
         for i in range(n):
             for j in range(n):
                 coeffs[i][j].append(power.entry(i, j) / factorial(k))
