@@ -41,6 +41,7 @@ from posetpoly.invariants import (
     Step,
     admissible_maps,
     class_coordinates,
+    order_constraints,
     order_poly_recursive,
     top_record,
 )
@@ -238,8 +239,9 @@ def qsym_direct(lp: LabeledPoset, nvars: int) -> QSymTruncated:
     if n == 0:
         return QSymTruncated.one(nvars)
     accumulated: dict[tuple[int, ...], int] = {}
+    constraints = order_constraints(lp)
     for largest in range(nvars):
-        for f in admissible_maps(lp, largest):
+        for f in admissible_maps(lp, largest, constraints):
             exps = [0] * nvars
             for v in f:
                 exps[v] += 1

@@ -31,7 +31,8 @@ interned, since few distinct ones occur.  Larger classes live in one table
 per top class, the class a public call was asked about, and one slot keeps
 the table of the most recent top: Omega, e, etilde and qsym of one poset
 share it, so each large class lists its children once for all of them.
-The slot holds children and coordinates, never a public value.
+The slot holds children and coordinates, never a public value.  Children
+are listed from a key's masks, with no Poset or LabeledPoset per class.
 
 phi is the t-coefficient of the order polynomial, computed here from
 alternating path counts; the flag sums rebuild the whole polynomial from
@@ -48,7 +49,7 @@ from itertools import accumulate, product
 from math import comb, factorial, lcm
 from typing import Callable, Iterator
 
-from posetpoly import stats
+from posetpoly import posets, stats
 from posetpoly.matrices import (
     PolyMatrix,
     RatMatrix,
@@ -60,13 +61,10 @@ from posetpoly.omegagraph import OmegaGraph, _graph_on_ideals, path_counts
 from posetpoly.polynomials import UniPoly, from_binomial_basis, lagrange_interpolate
 from posetpoly.posets import (
     LabeledPoset,
-    Poset,
     canonical_key,
     enumerate_ideals,
-    induced_relation,
     induced_subposet,
     iter_bits,
-    omega_natural_ideals,
 )
 from posetpoly.stats import COUNTERS, ORACLE_BOUND_ENV
 
@@ -84,18 +82,26 @@ __all__ = [
     "derivative_identity_check",
 ]
 
-def admissible_maps(lp: LabeledPoset, largest: int) -> Iterator[tuple[int, ...]]:
+def order_constraints(lp: LabeledPoset) -> list[tuple[int, int, bool]]:
+    """(x, y, strict) per relation x < y of lp, strict where labels decrease."""
+    above = lp.poset.above
+    return [(x, y, lp.omega[x] > lp.omega[y]) for x in range(lp.size) for y in iter_bits(above[x])]
+
+
+def admissible_maps(
+    lp: LabeledPoset, largest: int, constraints: list[tuple[int, int, bool]] | None = None
+) -> Iterator[tuple[int, ...]]:
     """Yield the admissible maps f: P -> {0..largest} whose largest value
     is `largest`, as tuples indexed by element: order-preserving, and
-    strict on every relation x < y whose labels decrease.  One product of
-    ranges per element that first takes the largest value, so largest =
-    0..N-1 walks each of the N^|P| maps into [N] once."""
+    strict on every relation x < y whose labels decrease (the constraints
+    an oracle builds once per call).  One product of ranges per element
+    that first takes the largest value, so largest = 0..N-1 walks each of
+    the N^|P| maps into [N] once."""
     n = lp.size
-    constraints = [
-        (x, y, lp.omega[x] > lp.omega[y]) for x in range(n) for y in iter_bits(lp.poset.above[x])
-    ]
+    if constraints is None:
+        constraints = order_constraints(lp)
     below, up_to = range(largest), range(largest + 1)
-    for first in range(n):
+    for first in range(n if largest else 1):  # at 0 only the zero map
         for f in product(*[below] * first, (largest,), *[up_to] * (n - 1 - first)):
             for x, y, strict in constraints:
                 if f[x] > f[y] or (strict and f[x] == f[y]):
@@ -111,8 +117,9 @@ def order_poly_bruteforce(lp: LabeledPoset) -> UniPoly:
     stats.charge("maps", n**n, lambda b: f"poset size {n} exceeds the brute-force bound {b}")
     if n == 0:
         return UniPoly([1])
-    counts = accumulate(sum(1 for _ in admissible_maps(lp, largest)) for largest in range(n))
-    return lagrange_interpolate([(0, 0), *enumerate(counts, 1)])
+    constraints = order_constraints(lp)
+    counts = [sum(1 for _ in admissible_maps(lp, k, constraints)) for k in range(n)]
+    return lagrange_interpolate([(0, 0), *enumerate(accumulate(counts), 1)])
 
 
 @dataclass(frozen=True)
@@ -310,19 +317,25 @@ def labeled_children(
     """The classes P \\ S for the nonempty omega-natural ideals S of the class.
 
     A key lists the above masks in label order (canonical_key), so the
-    representative is labeled 1..n by index, every induced subposet keeps its
-    elements in label order, and the child's masks are already its key.
+    representative is labeled 1..n by index: no omega-natural ideal holds an
+    element of key[x] & ((1 << x) - 1), and every induced subposet keeps label
+    order, so the child's masks are already its key.  The ideals grow as in
+    posets.omega_natural_ideals, from the key's masks with no Poset built.
     """
     size = len(key)
     COUNTERS["large_class_expansions" if size > SMALL_CLASS_MAX else "small_class_expansions"] += 1
-    rep = LabeledPoset(Poset(key), range(1, size + 1))
-    full = rep.poset.full_mask
+    blocked = 0
+    below = [0] * size
+    for x, above in enumerate(key):
+        blocked |= above & ((1 << x) - 1)
+        for y in iter_bits(above):
+            below[y] |= 1 << x
+    full = (1 << size) - 1
     counts: dict[tuple[ClassRecord, int], int] = {}
-    for ideal in omega_natural_ideals(rep):
+    for ideal in posets._grow_ideals(below, full & ~blocked):
         if ideal:
-            removed = ideal.bit_count()
-            rest = induced_relation(rep.poset, full ^ ideal)
-            child = (class_record(rest, table), removed)
+            rest = posets.induced_relation(key, full ^ ideal)
+            child = (class_record(rest, table), ideal.bit_count())
             counts[child] = counts.get(child, 0) + 1
     return [(child, removed, mult) for (child, removed), mult in counts.items()]
 

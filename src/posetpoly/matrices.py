@@ -51,6 +51,8 @@ class RatMatrix:
         self._rows = tuple(_clean_row(r) for r in rows)
         if len(self._rows) != dimension:
             raise ValueError("row count does not match dimension")
+        if any(row and (min(row) < 0 or max(row) >= dimension) for row in self._rows):
+            raise ValueError(f"a column lies outside 0..{dimension - 1}")
 
     @classmethod
     def identity(cls, n: int) -> RatMatrix:
@@ -73,7 +75,7 @@ class RatMatrix:
         return self._rows[i]
 
     def is_strictly_upper_triangular(self) -> bool:
-        return all(all(i < j < self.dimension for j in row) for i, row in enumerate(self._rows))
+        return all(all(i < j for j in row) for i, row in enumerate(self._rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatMatrix):

@@ -236,8 +236,9 @@ class LabeledPoset:
         return f"LabeledPoset({self.poset!r}, {self.omega!r})"
 
 
-def _grow_ideals(p: Poset, admitted: int) -> list[int]:
-    """The ideals of p inside admitted, sorted by (cardinality, mask).
+def _grow_ideals(below: Sequence[int], admitted: int) -> list[int]:
+    """The ideals inside admitted of the order with these below masks, by
+    (cardinality, mask); no Poset needed, so a class key can be grown.
 
     The elements are taken in order of lower-set size, a linear extension
     because x < y makes below[x] a proper subset of below[y].  Each
@@ -247,9 +248,8 @@ def _grow_ideals(p: Poset, admitted: int) -> list[int]:
     passes the budget.
     """
     budget = stats.limit()
-    below = p.below
     ideals = [0]
-    for x in sorted(range(p.size), key=lambda e: below[e].bit_count()):
+    for x in sorted(range(len(below)), key=lambda e: below[e].bit_count()):
         if (admitted >> x) & 1:
             need = below[x]
             bit = 1 << x
@@ -274,7 +274,7 @@ def enumerate_ideals(p: Poset) -> list[int]:
     last, and containment always means a smaller index.  Raises
     stats.BudgetError past the ideal budget.
     """
-    return _grow_ideals(p, p.full_mask)
+    return _grow_ideals(p.below, p.full_mask)
 
 
 def omega_natural_ideals(lp: LabeledPoset) -> list[int]:
@@ -286,18 +286,18 @@ def omega_natural_ideals(lp: LabeledPoset) -> list[int]:
     violated = 0
     for mask in lp._violators:
         violated |= mask
-    return _grow_ideals(lp.poset, lp.poset.full_mask & ~violated)
+    return _grow_ideals(lp.poset.below, lp.poset.full_mask & ~violated)
 
 
-def induced_relation(p: Poset, subset: int) -> tuple[int, ...]:
-    """The above masks of the sub-poset on subset, elements reindexed in
-    mask order.  Each mask is compressed by closing the gap of every
-    removed element, highest first, so the cost grows with what is removed."""
-    gaps = [(1 << r) - 1 for r in range(p.size - 1, -1, -1) if not (subset >> r) & 1]
+def induced_relation(above: Sequence[int], subset: int) -> tuple[int, ...]:
+    """The above masks of the sub-order on subset of the order with these
+    above masks, elements reindexed in mask order.  Each mask is compressed
+    by closing the gap of every removed element, highest first."""
+    gaps = [(1 << r) - 1 for r in range(len(above) - 1, -1, -1) if not (subset >> r) & 1]
     masks = []
-    for e, above in enumerate(p.above):
+    for e, up in enumerate(above):
         if (subset >> e) & 1:
-            mask = above & subset
+            mask = up & subset
             for low in gaps:
                 if mask > low:
                     mask = (mask & low) | ((mask >> 1) & ~low)
@@ -307,7 +307,7 @@ def induced_relation(p: Poset, subset: int) -> tuple[int, ...]:
 
 def induced_poset(p: Poset, subset: int) -> Poset:
     """The bare sub-poset on subset, elements reindexed in mask order."""
-    return Poset(induced_relation(p, subset))
+    return Poset(induced_relation(p.above, subset))
 
 
 def induced_subposet(lp: LabeledPoset, subset: int) -> LabeledPoset:

@@ -9,6 +9,7 @@ for qsym) or with the same call made in a fresh interpreter.
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,13 +18,21 @@ import pytest
 
 from posetpoly import invariants, stats
 from posetpoly.bernoulli import bernoulli_numbers_oracle
-from posetpoly.catalog import all_posets, posets_up_to
+from posetpoly.catalog import all_posets, labeled_catalog, posets_up_to
 from posetpoly.eulerian import eulerian_from_chains, eulerian_recursive, eulerian_tilde_recursive
 from posetpoly.framework import qsym_direct, qsym_recursive
 from posetpoly.invariants import SMALL_CLASS_MAX, labeled_children, order_poly_recursive, phi
 from posetpoly.localized import LocalizedRatio
 from posetpoly.omegagraph import build_omega_graph, count_paths
-from posetpoly.posets import LabeledPoset, canonical_key, make_poset, natural_labeling
+from posetpoly.posets import (
+    LabeledPoset,
+    Poset,
+    canonical_key,
+    induced_subposet,
+    iter_bits,
+    make_poset,
+    natural_labeling,
+)
 from posetpoly.unlabeled import order_poly_unlabeled
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -186,3 +195,54 @@ def test_catalog_memo_is_bounded_and_holds_sizes_0_to_6():
     info = all_posets.cache_info()
     assert info.currsize <= maxsize
     assert info.hits >= 7  # the second pass reads every size 0..6 from the memo
+
+
+def seeded_labeled_posets(count, seed):
+    """count posets of 8 to 12 points, covers drawn at random, randomly labeled."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        size = rng.randint(8, 12)
+        density = rng.choice((0.15, 0.3, 0.5))
+        covers = [(i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < density]
+        labels = list(range(1, size + 1))
+        rng.shuffle(labels)
+        yield LabeledPoset(make_poset(size, covers), labels)
+
+
+def reference_children(key):
+    """(child key, removed, multiplicity) over every nonempty subset S of the
+    class representative that is down-closed and omega-natural, S in
+    (cardinality, mask) order, each child where it first occurs."""
+    rep = LabeledPoset(Poset(key), range(1, len(key) + 1))
+    full = rep.poset.full_mask
+    counts = {}
+    for subset in sorted(range(1, full + 1), key=lambda s: (s.bit_count(), s)):
+        down_closed = all(rep.poset.below[x] & ~subset == 0 for x in iter_bits(subset))
+        if down_closed and rep.is_omega_natural(subset):
+            child = (canonical_key(induced_subposet(rep, full ^ subset))[1], subset.bit_count())
+            counts[child] = counts.get(child, 0) + 1
+    return [(child, removed, mult) for (child, removed), mult in counts.items()]
+
+
+def test_labeled_children_match_a_subset_reference():
+    inputs = [*labeled_catalog(5), *seeded_labeled_posets(200, 1972)]
+    for lp in inputs:
+        key = canonical_key(lp)[1]
+        listed = [(child.key, removed, mult) for child, removed, mult in labeled_children(key, {})]
+        assert listed == reference_children(key), lp
+
+
+def test_one_recursion_reads_the_pinned_counts(monkeypatch):
+    """The work of one recursion from empty memos, pinned: listing the
+    children from key masks grows the same ideals and expands the same
+    classes as listing them from a Poset and a LabeledPoset per class."""
+    monkeypatch.setattr(invariants, "_SMALL_LABELED", {})
+    monkeypatch.setattr(invariants, "_LAST_LARGE", None)
+    lp = list(seeded_labeled_posets(5, 1972))[4]
+    assert lp.size == 10
+    stats.reset()
+    order_poly_recursive(lp)
+    counts = stats.snapshot()
+    assert counts["ideals"] == 1708
+    assert counts["small_class_expansions"] == 35
+    assert counts["large_class_expansions"] == 54

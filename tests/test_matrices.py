@@ -66,11 +66,11 @@ def test_strict_upper_triangular_predicate():
     assert not RatMatrix.from_rows([[0, 0], [1, 0]]).is_strictly_upper_triangular()
 
 
-def test_strict_upper_triangular_rejects_column_past_dimension():
-    a = RatMatrix(2, [{5: Fr(1)}, {}])
-    assert not a.is_strictly_upper_triangular()
-    with pytest.raises(ValueError):
-        matrix_log_unipotent(a)
+def test_constructor_rejects_columns_outside_dimension():
+    for column in (5, 2, -1):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            RatMatrix(2, [{column: Fr(1)}, {}])
+    assert RatMatrix(2, [{1: Fr(1)}, {}]).is_strictly_upper_triangular()
 
 
 def test_multiplication_matches_dense_rule():

@@ -51,10 +51,10 @@ def union_faults(seed: int) -> list[str]:
 def drop_a_pair_ideal(monkeypatch):
     grow = posets._grow_ideals
 
-    def dropping(p, admitted):
-        ideals = grow(p, admitted)
+    def dropping(below, admitted):
+        ideals = grow(below, admitted)
         pairs = [ideal for ideal in ideals if ideal.bit_count() == 2]
-        if p.size >= FAULTY_FROM and pairs:
+        if len(below) >= FAULTY_FROM and pairs:
             ideals.remove(pairs[0])
         return ideals
 
