@@ -32,7 +32,10 @@ per top class, the class a public call was asked about, and one slot keeps
 the table of the most recent top: Omega, e, etilde and qsym of one poset
 share it, so each large class lists its children once for all of them.
 The slot holds children and coordinates, never a public value.  Children
-are listed from a key's masks, with no Poset or LabeledPoset per class.
+are listed from a key's masks, with no Poset or LabeledPoset per class,
+and each child's key is squeezed in one step per mask from the key of the
+complement of a one-smaller ideal (child_key), so listing the children of
+a class of k points costs O(k) per ideal.
 
 phi is the t-coefficient of the order polynomial, computed here from
 alternating path counts; the flag sums rebuild the whole polynomial from
@@ -321,6 +324,11 @@ def labeled_children(
     element of key[x] & ((1 << x) - 1), and every induced subposet keeps label
     order, so the child's masks are already its key.  The ideals grow as in
     posets.omega_natural_ideals, from the key's masks with no Poset built.
+
+    The ideals come in (cardinality, mask) order, so each child key is
+    squeezed from the key kept for a one-smaller ideal (child_key): one step
+    per mask, not one per mask and removed element, so a class of k points
+    costs O(k) per ideal.  The keys live only for the call.
     """
     size = len(key)
     COUNTERS["large_class_expansions" if size > SMALL_CLASS_MAX else "small_class_expansions"] += 1
@@ -331,13 +339,39 @@ def labeled_children(
         for y in iter_bits(above):
             below[y] |= 1 << x
     full = (1 << size) - 1
+    keys = {0: key}
     counts: dict[tuple[ClassRecord, int], int] = {}
     for ideal in posets._grow_ideals(below, full & ~blocked):
         if ideal:
-            rest = posets.induced_relation(key, full ^ ideal)
-            child = (class_record(rest, table), ideal.bit_count())
+            child = (class_record(child_key(keys, full, ideal), table), ideal.bit_count())
             counts[child] = counts.get(child, 0) + 1
     return [(child, removed, mult) for (child, removed), mult in counts.items()]
+
+
+def child_key(keys: dict[int, tuple[int, ...]], full: int, ideal: int) -> tuple[int, ...]:
+    """The key of P \\ ideal for a nonempty omega-natural ideal of the class
+    whose key is keys[0]; keys maps ideals to the keys of their complements
+    and gains the key computed here.
+
+    In label order the highest bit t of the ideal is its largest label, so
+    t is maximal in it and ideal - t is a smaller omega-natural ideal.  The
+    key of P \\ ideal is the key of P \\ (ideal - t) with t's mask dropped
+    and the gap at t's position closed in every other mask, one step per
+    mask; no remaining mask holds t's bit, since t is above none of them.
+    A parent missing from keys is built the same way.
+    """
+    t = ideal.bit_length() - 1
+    parent = ideal ^ (1 << t)
+    masks = keys.get(parent)
+    if masks is None:
+        masks = child_key(keys, full, parent)
+    gap = ((full ^ ideal) & ((1 << t) - 1)).bit_count()
+    low = (1 << gap) - 1
+    high = ~low
+    squeezed = [mask if mask <= low else (mask & low) | ((mask >> 1) & high) for mask in masks]
+    del squeezed[gap]
+    keys[ideal] = key = tuple(squeezed)
+    return key
 
 
 def binomial_step(size: int, children: list[tuple[object, int, int]]) -> tuple[int, ...]:

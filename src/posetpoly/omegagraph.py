@@ -116,11 +116,12 @@ def _graph_on_ideals(lp: LabeledPoset, ideals: list[int]) -> OmegaGraph:
     # keyed by the renumbered bit of each element x
     keep_without_up: dict[int, int] = {}  # complement of x and everything above x
     larger_below: dict[int, int] = {}  # elements below x with a larger label
+    below = p.below
     for e in range(p.size):
         x = moved[1 << e]
         keep_without_up[x] = ~(x | renumber(p.above[e]))
         larger_below[x] = renumber(
-            sum(1 << y for y in iter_bits(p.below[e]) if lp.omega[y] > lp.omega[e])
+            sum(1 << y for y in iter_bits(below[e]) if lp.omega[y] > lp.omega[e])
         )
     starts = [renumber(ideal) for ideal in ideals]
     index = {mask: k for k, mask in enumerate(starts)}
@@ -198,10 +199,11 @@ def _search_path_counts(lp: LabeledPoset) -> PathCounts:
     position = [0] * size
     for k, e in enumerate(order):
         position[e] = k
+    below = p.below
     steps = []  # (position, its below mask, its larger-labeled below mask), highest first
     for k in range(size - 1, -1, -1):
         e = order[k]
-        lower = list(iter_bits(p.below[e]))
+        lower = list(iter_bits(below[e]))
         need = sum(1 << position[y] for y in lower)
         larger = sum(1 << position[y] for y in lower if lp.omega[y] > lp.omega[e])
         steps.append((k, need, larger))

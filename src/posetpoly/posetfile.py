@@ -8,7 +8,11 @@ Format, one item per line, `#` starts a comment anywhere:
     0 < 2
 
 Without a labels line the elements get a natural labeling read off a
-linear extension.  Every rejection names the offending line.
+linear extension.  Every rejection names the offending line, except one:
+a header of N >= B^B elements (B the oracle bound of posetpoly.stats) is
+refused with stats.BudgetError before anything of size N is allocated,
+since such a poset has at least N + 1 ideals, more than any enumeration
+may hold.
 
 After every line is read, the covers are added in file order to the
 closed order by posets.add_cover, one mask OR per element of the new
@@ -18,6 +22,7 @@ whose high end already precedes its low end.
 
 from __future__ import annotations
 
+from posetpoly import stats
 from posetpoly.posets import LabeledPoset, Poset, add_cover, natural_labeling
 
 __all__ = ["PosetParseError", "parse_poset_file", "render_poset_file"]
@@ -53,6 +58,11 @@ def parse_poset_file(text: str) -> LabeledPoset:
         raise PosetParseError(header_line, "element count is not an integer") from None
     if n < 0:
         raise PosetParseError(header_line, "element count must be nonnegative")
+    stats.admit(
+        n + 1,
+        lambda b: f"a poset on {n} elements has at least {n + 1} ideals, "
+        f"past the enumeration budget {b}^{b}",
+    )
 
     labels: tuple[int, ...] | None = None
     covers: list[tuple[int, int, int]] = []  # (line, low, high)

@@ -3,7 +3,10 @@
 The strict order is stored as per-element masks: above[i] is the set of
 elements strictly greater than i, transitively closed.  Subsets of the
 ground set, ideals included, travel as plain int bitmasks throughout the
-package.
+package.  A Poset stores only its above masks and a LabeledPoset only its
+poset and labels, since callers may keep many parsed posets: the below
+masks are derived from above on each read of Poset.below, which every
+reader binds once per call.
 
 Every order built from covers (make_poset, the poset-file parser, the
 catalog) is closed by one routine, add_cover.  It adds one cover
@@ -15,8 +18,9 @@ low end would close a cycle and is refused.
 
 A labeling is an injective map to positive integers.  A subset S is
 omega-natural when the labeling restricted to S is order-preserving;
-the check runs off precomputed per-element violator masks, so testing a
-subset costs one mask intersection per member.
+is_omega_natural compares the labels of each related pair inside S, and
+omega_natural_ideals collects the elements with a larger-labeled element
+below them in one pass over the above masks.
 
 Ideals grow along a linear extension: each element in turn joins every
 ideal grown so far that holds its lower set, one list comprehension per
@@ -65,14 +69,16 @@ def iter_bits(mask: int):
 
 
 class Poset:
-    """A finite poset; above[i] masks the elements strictly greater than i."""
+    """A finite poset; above[i] masks the elements strictly greater than i.
 
-    __slots__ = ("size", "above", "below")
+    Only the above masks are stored; below is derived from them on each
+    read, so a caller binds it once."""
+
+    __slots__ = ("size", "above")
 
     def __init__(self, above: Sequence[int]) -> None:
         self.size = len(above)
         self.above = tuple(above)
-        below = [0] * self.size
         for i, mask in enumerate(self.above):
             if mask >> self.size:
                 raise ValueError("relation references elements outside the ground set")
@@ -81,8 +87,16 @@ class Poset:
             for j in iter_bits(mask):
                 if self.above[j] & ~mask & ~(1 << j):
                     raise ValueError("relation is not transitively closed")
-                below[j] |= 1 << i
-        self.below = tuple(below)
+
+    @property
+    def below(self) -> tuple[int, ...]:
+        """below[j] masks the elements strictly less than j."""
+        below = [0] * self.size
+        for i, mask in enumerate(self.above):
+            bit = 1 << i
+            for j in iter_bits(mask):
+                below[j] |= bit
+        return tuple(below)
 
     @property
     def full_mask(self) -> int:
@@ -92,17 +106,19 @@ class Poset:
         return bool((self.above[i] >> j) & 1)
 
     def minimum_elements(self) -> int:
-        return sum(1 << i for i in range(self.size) if not self.below[i])
+        below = self.below
+        return sum(1 << i for i in range(self.size) if not below[i])
 
     def is_antichain_set(self, subset: int) -> bool:
         """True when no two members of subset are comparable."""
         return all(not (self.above[i] & subset) for i in iter_bits(subset))
 
     def cover_pairs(self) -> list[tuple[int, int]]:
+        below = self.below
         pairs = []
         for i in range(self.size):
             for j in iter_bits(self.above[i]):
-                if not (self.above[i] & self.below[j]):
+                if not (self.above[i] & below[j]):
                     pairs.append((i, j))
         return pairs
 
@@ -199,7 +215,7 @@ def reversed_labeling(p: Poset) -> tuple[int, ...]:
 class LabeledPoset:
     """A poset with an injective positive labeling omega."""
 
-    __slots__ = ("poset", "omega", "_violators")
+    __slots__ = ("poset", "omega")
 
     def __init__(self, poset: Poset, omega: Sequence[int]) -> None:
         omega = tuple(omega)
@@ -211,18 +227,17 @@ class LabeledPoset:
             raise ValueError("labels must be injective")
         self.poset = poset
         self.omega = omega
-        # violators[x] = elements above x that carry a smaller label
-        self._violators = tuple(
-            sum(1 << y for y in iter_bits(poset.above[x]) if omega[y] < omega[x])
-            for x in range(poset.size)
-        )
 
     @property
     def size(self) -> int:
         return self.poset.size
 
     def is_omega_natural(self, subset: int) -> bool:
-        return all(not (self._violators[x] & subset) for x in iter_bits(subset))
+        """True when no x < y in subset has omega[x] > omega[y]."""
+        above, omega = self.poset.above, self.omega
+        return all(
+            omega[x] < omega[y] for x in iter_bits(subset) for y in iter_bits(above[x] & subset)
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledPoset):
@@ -283,9 +298,12 @@ def omega_natural_ideals(lp: LabeledPoset) -> list[int]:
     the ideals that avoid every element with a larger-labeled element below
     it; they are grown along a linear extension with only the other elements
     admitted.  Raises stats.BudgetError past the same budget."""
+    omega = lp.omega
     violated = 0
-    for mask in lp._violators:
-        violated |= mask
+    for x, above in enumerate(lp.poset.above):
+        for y in iter_bits(above & ~violated):
+            if omega[y] < omega[x]:
+                violated |= 1 << y
     return _grow_ideals(lp.poset.below, lp.poset.full_mask & ~violated)
 
 
@@ -335,13 +353,14 @@ def canonical_key(lp: LabeledPoset) -> tuple[int, tuple[int, ...]]:
 
 
 def _refine_colors(p: Poset) -> list[int]:
+    below = p.below
     colors = [0] * p.size
     while True:
         signatures = [
             (
                 colors[i],
                 tuple(sorted(colors[j] for j in iter_bits(p.above[i]))),
-                tuple(sorted(colors[j] for j in iter_bits(p.below[i]))),
+                tuple(sorted(colors[j] for j in iter_bits(below[i]))),
             )
             for i in range(p.size)
         ]

@@ -36,9 +36,11 @@ The other counters take one dict store per event:
 - path_slot_hits / path_slot_misses: the same for omegagraph.path_counts.
 
 admit(count, describe) refuses as charge does but counts nothing, for a
-check made ahead of the enumeration that charges.  snapshot() copies the
-counters; reset() sets them all to 0.  The module is not exported from
-posetpoly: it reports on the implementation, not on the invariants.
+check made ahead of the enumeration that charges, such as the poset-file
+parser's refusal of a header of N >= B^B elements, which have at least
+N + 1 ideals.  snapshot() copies the counters; reset() sets them all to
+0.  The module is not exported from posetpoly: it reports on the
+implementation, not on the invariants.
 """
 
 from __future__ import annotations

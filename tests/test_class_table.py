@@ -21,17 +21,26 @@ from posetpoly.bernoulli import bernoulli_numbers_oracle
 from posetpoly.catalog import all_posets, labeled_catalog, posets_up_to
 from posetpoly.eulerian import eulerian_from_chains, eulerian_recursive, eulerian_tilde_recursive
 from posetpoly.framework import qsym_direct, qsym_recursive
-from posetpoly.invariants import SMALL_CLASS_MAX, labeled_children, order_poly_recursive, phi
+from posetpoly.invariants import (
+    SMALL_CLASS_MAX,
+    child_key,
+    labeled_children,
+    order_poly_recursive,
+    phi,
+)
 from posetpoly.localized import LocalizedRatio
 from posetpoly.omegagraph import build_omega_graph, count_paths
 from posetpoly.posets import (
     LabeledPoset,
     Poset,
     canonical_key,
+    induced_relation,
     induced_subposet,
     iter_bits,
+    make_chain,
     make_poset,
     natural_labeling,
+    omega_natural_ideals,
 )
 from posetpoly.unlabeled import order_poly_unlabeled
 
@@ -197,11 +206,12 @@ def test_catalog_memo_is_bounded_and_holds_sizes_0_to_6():
     assert info.hits >= 7  # the second pass reads every size 0..6 from the memo
 
 
-def seeded_labeled_posets(count, seed):
-    """count posets of 8 to 12 points, covers drawn at random, randomly labeled."""
+def seeded_labeled_posets(count, seed, smallest=8, largest=12):
+    """count posets of smallest to largest points, covers drawn at random,
+    randomly labeled."""
     rng = random.Random(seed)
     for _ in range(count):
-        size = rng.randint(8, 12)
+        size = rng.randint(smallest, largest)
         density = rng.choice((0.15, 0.3, 0.5))
         covers = [(i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < density]
         labels = list(range(1, size + 1))
@@ -215,9 +225,10 @@ def reference_children(key):
     (cardinality, mask) order, each child where it first occurs."""
     rep = LabeledPoset(Poset(key), range(1, len(key) + 1))
     full = rep.poset.full_mask
+    below = rep.poset.below
     counts = {}
     for subset in sorted(range(1, full + 1), key=lambda s: (s.bit_count(), s)):
-        down_closed = all(rep.poset.below[x] & ~subset == 0 for x in iter_bits(subset))
+        down_closed = all(below[x] & ~subset == 0 for x in iter_bits(subset))
         if down_closed and rep.is_omega_natural(subset):
             child = (canonical_key(induced_subposet(rep, full ^ subset))[1], subset.bit_count())
             counts[child] = counts.get(child, 0) + 1
@@ -225,11 +236,39 @@ def reference_children(key):
 
 
 def test_labeled_children_match_a_subset_reference():
-    inputs = [*labeled_catalog(5), *seeded_labeled_posets(200, 1972)]
+    inputs = [
+        *labeled_catalog(5),
+        *seeded_labeled_posets(120, 1984, smallest=6, largest=9),
+        *seeded_labeled_posets(200, 1972),
+    ]
     for lp in inputs:
         key = canonical_key(lp)[1]
         listed = [(child.key, removed, mult) for child, removed, mult in labeled_children(key, {})]
         assert listed == reference_children(key), lp
+
+
+def test_squeezed_child_keys_match_induced_relation_and_the_subset_reference():
+    # every labeled class up to 5 points, seeded 6-9-point classes and the
+    # natural 40-chain, each through its representative labeled 1..n by index
+    chain = make_chain(40)
+    inputs = [
+        *labeled_catalog(5),
+        *seeded_labeled_posets(120, 1984, smallest=6, largest=9),
+        LabeledPoset(chain, natural_labeling(chain)),
+    ]
+    for lp in inputs:
+        key = canonical_key(lp)[1]
+        rep = LabeledPoset(Poset(key), range(1, len(key) + 1))
+        full = rep.poset.full_mask
+        ideals = omega_natural_ideals(rep)[1:]
+        expected = [induced_relation(key, full ^ ideal) for ideal in ideals]
+        assert expected == [canonical_key(induced_subposet(rep, full ^ i))[1] for i in ideals]
+        keys = {0: key}
+        assert [child_key(keys, full, ideal) for ideal in ideals] == expected, key
+        # largest ideal first: missing parents are built on the way down
+        keys = {0: key}
+        assert [child_key(keys, full, ideal) for ideal in reversed(ideals)] == expected[::-1]
+        assert set(keys) == {0, *ideals}
 
 
 def test_one_recursion_reads_the_pinned_counts(monkeypatch):

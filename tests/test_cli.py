@@ -223,6 +223,33 @@ def test_ideals_refuses_a_lattice_over_the_budget(poset_file, capsys):
     assert "POSET_ORACLE_MAX" in err
 
 
+def test_header_past_the_budget_exits_1_at_once(capsys, monkeypatch):
+    # every poset on N points has at least N + 1 ideals, so N >= 7^7 is
+    # refused from the header line before anything of size N is built
+    monkeypatch.setattr("sys.stdin", io.StringIO("elements: 10000000\n"))
+    started = time.perf_counter()
+    code, out, err = run_cli(["ideals", "-"], capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.rstrip().endswith("set POSET_ORACLE_MAX to raise it")
+
+
+def test_header_refusal_reaches_qsym_with_one_variable(poset_file, capsys, monkeypatch):
+    # one variable admits one map, so only the header refuses this command
+    monkeypatch.setenv("POSET_ORACLE_MAX", "2")  # 2^2 = 4
+
+    def qsym_in_one_variable(n):
+        path = poset_file(f"elements: {n}\n")
+        return run_cli(["qsym", path, "--vars", "1", "--route", "direct"], capsys)
+
+    code, out, _ = qsym_in_one_variable(3)
+    assert (code, out.strip()) == (0, "x1^3")
+    code, out, err = qsym_in_one_variable(4)
+    assert (code, out) == (1, "")
+    assert "a poset on 4 elements has at least 5 ideals" in err
+
+
 @pytest.mark.parametrize("nvars", [300, 3000])
 def test_invariant_qsym_refuses_oversized_expansion(poset_file, capsys, nvars):
     path = poset_file("elements: 3\n")

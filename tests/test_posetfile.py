@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
 from posetpoly.posetfile import PosetParseError, parse_poset_file, render_poset_file
 from posetpoly.posets import LabeledPoset, make_chain, make_poset
+from posetpoly.stats import ORACLE_BOUND_ENV, BudgetError
 
 
 def test_two_chain():
@@ -140,3 +142,20 @@ def test_cycle_is_reported_on_the_first_line_that_closes_one():
         else:
             assert parse_poset_file(text).poset.above == naive_closure(n, covers)
     assert cycles > 50
+
+
+def test_header_past_the_ideal_budget_is_refused_before_the_rest(monkeypatch):
+    # N points have at least N + 1 ideals, so N >= B^B is refused from the
+    # header, ahead of the later lines and of any O(N) allocation
+    started = time.perf_counter()
+    with pytest.raises(BudgetError) as refused:
+        parse_poset_file("elements: 10000000\nnot a cover\n")
+    assert time.perf_counter() - started < 1.0
+    assert str(refused.value) == (
+        "a poset on 10000000 elements has at least 10000001 ideals, past the "
+        "enumeration budget 7^7; set POSET_ORACLE_MAX to raise it"
+    )
+    monkeypatch.setenv(ORACLE_BOUND_ENV, "2")  # 2^2 = 4
+    assert parse_poset_file("elements: 3\n0 < 1\n").size == 3
+    with pytest.raises(BudgetError):
+        parse_poset_file("elements: 4\n")

@@ -115,11 +115,12 @@ def test_linear_extension_respects_order():
 
 def reference_linear_extension(p: Poset) -> list[int]:
     """At each step the smallest unplaced index whose lower set is placed."""
+    below = p.below
     placed = 0
     order = []
     for _ in range(p.size):
         for i in range(p.size):
-            if not ((placed >> i) & 1) and p.below[i] & ~placed == 0:
+            if not ((placed >> i) & 1) and below[i] & ~placed == 0:
                 order.append(i)
                 placed |= 1 << i
                 break
@@ -187,6 +188,46 @@ def test_inverted_two_chain_not_natural():
     assert lp.is_omega_natural(0)
 
 
+def test_below_and_omega_naturality_match_their_definitions():
+    # below is derived from above on each read, and is_omega_natural and
+    # omega_natural_ideals read only above and omega; each against its
+    # definition on every subset, elements also shuffled out of order
+    rng = random.Random(2020)
+    posets = []
+    for p in posets_up_to(5):
+        perm = list(range(p.size))
+        rng.shuffle(perm)
+        posets += [p, relabeled(p, perm)]
+    for p in posets:
+        below = p.below
+        assert below == tuple(
+            sum(1 << i for i in range(p.size) if p.less(i, j)) for j in range(p.size)
+        )
+        pairs = [(x, y) for x in range(p.size) for y in range(p.size) if p.less(x, y)]
+        ideals = sorted(
+            (s for s in all_subsets(p.size) if all(below[x] & ~s == 0 for x in iter_bits(s))),
+            key=lambda m: (m.bit_count(), m),
+        )
+        for omega in standard_labelings(p):
+            lp = LabeledPoset(p, omega)
+            natural = [
+                s
+                for s in all_subsets(p.size)
+                if all(omega[x] < omega[y] for x, y in pairs if (s >> x) & 1 and (s >> y) & 1)
+            ]
+            assert [s for s in all_subsets(p.size) if lp.is_omega_natural(s)] == natural
+            assert omega_natural_ideals(lp) == [s for s in ideals if s in natural]
+
+
+def test_posets_store_only_above_masks_and_labels():
+    assert Poset.__slots__ == ("size", "above")
+    assert isinstance(Poset.__dict__["below"], property)
+    assert LabeledPoset.__slots__ == ("poset", "omega")
+    lp = LabeledPoset(make_shrub(2), (3, 1, 2))
+    assert not hasattr(lp, "__dict__") and not hasattr(lp.poset, "__dict__")
+    assert not hasattr(lp, "_violators")
+
+
 # --- ideals ---
 
 
@@ -213,10 +254,11 @@ def test_ideals_match_bruteforce_downclosed_filter():
     # every catalog poset up to 6 points; the omega-natural ideals under each
     # standard labeling are the down-closed subsets is_omega_natural accepts
     for p in posets_up_to(6):
+        below = p.below
         brute = [
             s
             for s in all_subsets(p.size)
-            if all(p.below[x] & ~s == 0 for x in iter_bits(s))
+            if all(below[x] & ~s == 0 for x in iter_bits(s))
         ]
         brute.sort(key=lambda m: (m.bit_count(), m))
         assert enumerate_ideals(p) == brute

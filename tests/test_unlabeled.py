@@ -29,13 +29,14 @@ HALF = Fraction(1, 2)
 
 def extension_labeling(p, from_top=False):
     """A linear-extension labeling, breaking ties low or high."""
+    below = p.below
     remaining = p.full_mask
     order = []
     while remaining:
         mins = [
             e
             for e in iter_bits(remaining)
-            if not (p.below[e] & remaining & ~(1 << e))
+            if not (below[e] & remaining & ~(1 << e))
         ]
         pick = max(mins) if from_top else min(mins)
         order.append(pick)
