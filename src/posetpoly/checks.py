@@ -108,7 +108,10 @@ def check_order_poly_routes(max_size: int) -> tuple[bool, str]:
 
 
 def check_eulerian_routes(max_size: int) -> tuple[bool, str]:
-    """Chain-count route vs recursion, plus the generating-series window."""
+    """Chain-count route vs recursion, plus the generating-series window.
+    Both routes read e off their path counts by one closed form, so the
+    first two compare the path search with Omega's recursion; the window
+    checks the closed form against Omega's values."""
     cases = 0
     for lp in labeled_catalog(max_size):
         pair = eulerian_from_chains(lp)

@@ -1,20 +1,19 @@
 """Eulerian polynomials of labeled posets and their localized companions.
 
-e(P, omega; lambda) is assembled from ideal-graph path counts:
-e = sum_k c_k λ^k (1-λ)^(|P|-k).  Expanding the binomial gives the
-coefficient of λ^m in closed form, sum_{k<=m} (-1)^(m-k) C(|P|-k, m-k) c_k,
-which eulerian_from_chains computes in exact integers.  Its localized
-companion etilde = e/(1-λ)^(|P|+1) generates the order polynomial values,
-sum_n Omega(n) λ^n.  That quotient is already in canonical form: e(1) = c_|P|
-counts the linear extensions, which is at least 1, so (1-λ) never divides
-e and no LocalizedRatio arithmetic is needed.  Both satisfy a recursion
-over complements of nonempty omega-natural ideals, implemented
-independently of the path-count assembly so the two can confirm each other.
-The localized one, etilde(P) = (λ/(1-λ)) Σ etilde(P\\S), is the plain one
-divided through by (1-λ)^(|P|+1), so one recursion serves both: it keeps the
-integer coefficients of e, e(P) = λ Σ (1-λ)^(|S|-1) e(P\\S), per poset class
-(in the class records of invariants, which Omega and qsym share), and
-etilde is LocalizedRatio(e, |P|+1).
+e(P, omega; lambda) is assembled from path counts c_k, the ideal-graph
+paths of k arcs: e = sum_k c_k λ^k (1-λ)^(|P|-k).  Expanding the binomial
+gives the coefficient of λ^m in closed form,
+sum_{k<=m} (-1)^(m-k) C(|P|-k, m-k) c_k, computed in exact integers by
+_eulerian_from_counts.  Its localized companion etilde = e/(1-λ)^(|P|+1)
+generates the order polynomial values, sum_n Omega(n) λ^n.  That quotient
+is already in canonical form: e(1) = c_|P| counts the linear extensions,
+which is at least 1, so (1-λ) never divides e and no LocalizedRatio
+arithmetic is needed.  eulerian_from_chains reads the c_k from the path
+search of omegagraph.path_counts; the recursive pair reads them as the
+binomial coordinates of the order polynomial's recursion in invariants,
+so it expands no class once Omega of the poset has run.  The paper's own
+recursions, e(P) = λ Σ (1-λ)^(|S|-1) e(P\\S) and etilde(P) = (λ/(1-λ))
+Σ etilde(P\\S), run as framework's eulerian and etilde specs.
 
 The antichain specializations recover the classical Eulerian polynomials
 A_n, reachable here through four unrelated computations: poset path
@@ -31,6 +30,7 @@ from math import comb
 from posetpoly.localized import LocalizedRatio
 from posetpoly.invariants import (
     ClassRecord,
+    binomial_step,
     class_coordinates,
     order_poly_recursive,
     public_value,
@@ -64,59 +64,40 @@ class EulerianPair:
     etilde: LocalizedRatio
 
 
+def _eulerian_from_counts(n: int, counts: tuple[int, ...]) -> UniPoly:
+    """e = Σ_k c_k λ^k (1-λ)^(n-k) from the counts c_0..c_n, coefficient by
+    coefficient in integers."""
+    return UniPoly(
+        sum((-1) ** (m - k) * comb(n - k, m - k) * counts[k] for k in range(m + 1))
+        for m in range(n + 1)
+    )
+
+
 def eulerian_from_chains(lp: LabeledPoset) -> EulerianPair:
     """Assemble e and etilde from the path counts of the ideal graph."""
     n = lp.size
-    counts = path_counts(lp).c
-    coeffs = [
-        sum((-1) ** (m - k) * comb(n - k, m - k) * counts[k] for k in range(m + 1))
-        for m in range(n + 1)
-    ]
-    e = UniPoly(coeffs)
+    e = _eulerian_from_counts(n, path_counts(lp).c)
     # e(1) = c_n >= 1, so (1-λ) does not divide e and this form is canonical
     return EulerianPair(e, LocalizedRatio(e, n + 1))
 
 
-def _eulerian_step(size: int, children: list[tuple[object, int, int]]) -> tuple[int, ...]:
-    """Integer coefficients of e(P) = λ Σ (1-λ)^(|S|-1) e(P\\S): the children
-    are summed per removed size s, then Horner's rule in (1-λ) runs from the
-    largest s down, so multiplying by (1-λ) is one subtraction per entry."""
-    if size == 0:
-        return (1,)
-    by_removed: dict[int, list[int]] = {}
-    for coords, removed, mult in children:
-        total = by_removed.setdefault(removed, [0] * size)
-        for k, c in enumerate(coords):
-            total[k] += mult * c
-    acc = [0] * size  # the sum has degree below |P|
-    for removed in range(size, 0, -1):
-        total = by_removed.get(removed)
-        previous = 0
-        for k in range(size):
-            current = acc[k]
-            acc[k] = current - previous + (total[k] if total else 0)
-            previous = current
-    return (0, *acc)
-
-
 def _eulerian_value(lp: LabeledPoset) -> tuple[ClassRecord, UniPoly]:
     record, table = top_record(lp)
-    coords = class_coordinates(record, "eulerian", _eulerian_step, table)
-    e = public_value(record, "eulerian_value", lambda: UniPoly(coords))
+    coords = class_coordinates(record, "omega", binomial_step, table)
+    e = public_value(record, "eulerian_value", lambda: _eulerian_from_counts(lp.size, coords))
     assert isinstance(e, UniPoly)
     return record, e
 
 
 def eulerian_recursive(lp: LabeledPoset) -> UniPoly:
-    """e by the recursion e(P) = λ Σ (1-λ)^(|S|-1) e(P\\S), S a nonempty
-    omega-natural ideal; base e(∅) = 1."""
+    """e from the order polynomial's recursion: its binomial coordinates are
+    the path counts c_k, read into the closed form."""
     return _eulerian_value(lp)[1]
 
 
 def eulerian_tilde_recursive(lp: LabeledPoset) -> LocalizedRatio:
-    """etilde = e/(1-λ)^(|P|+1) from the same recursion: the localized
-    recursion etilde(P) = (λ/(1-λ)) Σ etilde(P\\S) with etilde(∅) = 1/(1-λ)
-    is that one divided through, and e(1) = c_|P| >= 1 keeps it canonical."""
+    """etilde = e/(1-λ)^(|P|+1) over eulerian_recursive's e, which
+    e(1) = c_|P| >= 1 keeps canonical."""
     record, e = _eulerian_value(lp)
     value = public_value(record, "etilde_value", lambda: LocalizedRatio(e, lp.size + 1))
     assert isinstance(value, LocalizedRatio)

@@ -20,17 +20,18 @@ Route 3 runs in integers.  In the binomial basis C(t,k) the inverse
 difference is an index shift, C(t,k) -> C(t,k+1), so Omega = sum_k c_k C(t,k)
 with c_0 = 0 for nonempty P and c_(k+1)(P) = sum of c_k(P \\ S) over the
 nonempty omega-natural ideals S; Fractions appear only when the public
-value is built.  This module also holds the engine the other integer
-recursions share (eulerian for e and etilde, framework for qsym, unlabeled
-for the weak and strict polynomials, which are Omega under a natural and a
-strict labeling): a ClassRecord per labeled poset class with the integer
-coordinates of each quantity.  Classes of at most SMALL_CLASS_MAX = 5
-elements keep their record for the life of the process (at most 4,474
-labeled classes), with their public values and with coordinate tuples
-interned, since few distinct ones occur.  Larger classes live in one table
-per top class, the class a public call was asked about, and one slot keeps
-the table of the most recent top: Omega, e, etilde and qsym of one poset
-share it, so each large class lists its children once for all of them.
+value is built.  The c_k are the ideal-graph path counts, from which
+eulerian reads e and etilde.  This module also holds the engine that
+Omega and qsym (in framework) share, with unlabeled's weak and strict
+polynomials (Omega under a natural and a strict labeling): a ClassRecord
+per labeled poset class with the integer coordinates of each quantity.
+Classes of at most SMALL_CLASS_MAX = 5 elements keep their record for the
+life of the process (at most 4,474 labeled classes), with their public
+values and with coordinate tuples interned, since few distinct ones occur.
+Larger classes live in one table per top class, the class a public call
+was asked about, and one slot keeps the table of the most recent top:
+Omega and qsym of one poset share it, so each large class lists its
+children once for both, and e and etilde list none once Omega has run.
 The slot holds children and coordinates, never a public value.  Children
 are listed from a key's masks, with no Poset or LabeledPoset per class,
 and each child's key is squeezed in one step per mask from the key of the
@@ -182,17 +183,16 @@ Step = Callable[[int, list[tuple[object, int, int]]], object]
 class ClassRecord:
     """One labeled poset class in an integer recursion: its key, the above
     masks of a representative in label order (so its size is len(key)), and
-    per quantity its integer coordinates.  A class of at most
-    SMALL_CLASS_MAX elements also holds the public value of each quantity
-    and lists its children again for each quantity it expands; a larger one
-    keeps its children, listed the first time any quantity expands it, and
-    holds no public value."""
+    its integer coordinates for Omega (which e and etilde read too) and for
+    qsym.  A class of at most SMALL_CLASS_MAX elements also holds the public
+    values of Omega, e, etilde and qsym and lists its children again for
+    each quantity it expands; a larger one keeps its children, listed the
+    first time any quantity expands it, and holds no public value."""
 
     __slots__ = (
         "key",
         "children",
         "omega",
-        "eulerian",
         "qsym",
         "omega_value",
         "eulerian_value",
@@ -203,7 +203,7 @@ class ClassRecord:
     def __init__(self, key: tuple) -> None:
         self.key = key
         self.children: list[tuple[ClassRecord, int, int]] | None = None
-        self.omega = self.eulerian = self.qsym = None
+        self.omega = self.qsym = None
         self.omega_value = self.eulerian_value = self.etilde_value = self.qsym_value = None
 
 
@@ -211,9 +211,9 @@ _SMALL_LABELED: dict[tuple, ClassRecord] = {}
 
 _INTERNED: dict[tuple, tuple] = {}
 """One copy of each coordinate tuple a small record holds.  Few are
-distinct (3,000 deep-recursion queries leave 4,010 small records with 265
-Omega, 265 e and 877 qsym tuples), and there are at most three per small
-class, so the table is bounded by the small classes."""
+distinct (3,000 deep-recursion queries of seed 4711 leave 4,017 small
+records with 266 Omega and 883 qsym tuples), and there are at most two per
+small class, so the table is bounded by the small classes."""
 
 
 class LargeClasses:
@@ -279,26 +279,31 @@ def class_coordinates(
 ) -> object:
     """The coordinates held in record's slot name, computed once per record
     as step(size, [(child coordinates, removed size, multiplicity), ...])
-    over the children that labeled_children lists."""
-    coords = getattr(record, name)
-    if coords is None:
-        size = len(record.key)
-        children = record.children
-        if children is None:
-            children = labeled_children(record.key, table)
-            if size > SMALL_CLASS_MAX:
-                record.children = children
-        coords = step(
-            size,
-            [
-                (class_coordinates(child, name, step, table), removed, mult)
-                for child, removed, mult in children
-            ],
-        )
-        if size <= SMALL_CLASS_MAX:
-            coords = _INTERNED.setdefault(coords, coords)
-        setattr(record, name, coords)
-    return coords
+    over the children that labeled_children lists.  No call nests: a stack
+    lists the records below record that lack the quantity, computed by
+    increasing size, since every child is smaller than its parent.  A large
+    class keeps its children; a small one holds them only for this call."""
+    if getattr(record, name) is None:
+        pending: dict[ClassRecord, list[tuple[ClassRecord, int, int]]] = {}
+        stack = [record]
+        while stack:
+            current = stack.pop()
+            if current in pending:
+                continue
+            children = current.children
+            if children is None:
+                children = labeled_children(current.key, table)
+                if len(current.key) > SMALL_CLASS_MAX:
+                    current.children = children
+            pending[current] = children
+            stack.extend(child for child, _, _ in children if getattr(child, name) is None)
+        for current in sorted(pending, key=lambda r: len(r.key)):
+            size = len(current.key)
+            coords = step(size, [(getattr(c, name), s, m) for c, s, m in pending[current]])
+            if size <= SMALL_CLASS_MAX:
+                coords = _INTERNED.setdefault(coords, coords)
+            setattr(current, name, coords)
+    return getattr(record, name)
 
 
 def public_value(record: ClassRecord, name: str, build: Callable[[], object]) -> object:

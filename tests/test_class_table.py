@@ -2,9 +2,9 @@
 
 Classes of more than SMALL_CLASS_MAX points keep their children and integer
 coordinates in the slot of the most recent top class.  Every value read
-through the slot is compared with a route that shares none of its code
-(ideal-graph path counts, the chain assembly of e, direct map enumeration
-for qsym) or with the same call made in a fresh interpreter.
+through the slot is compared with a route that shares no class recursion
+with it (ideal-graph path counts, the chain assembly of e, direct map
+enumeration for qsym) or with the same call made in a fresh interpreter.
 """
 
 import json
@@ -52,7 +52,7 @@ B = LabeledPoset(make_poset(6, [(0, 2), (1, 2), (2, 3), (0, 4)]), (2, 6, 1, 5, 3
 
 def check_against_references(lp):
     """Omega, e, etilde and qsym of lp through the slot, each against a
-    route that shares no code with the recursion."""
+    route that shares no class recursion with it."""
     n = lp.size
     paths = count_paths(build_omega_graph(lp))
     omega = order_poly_recursive(lp)

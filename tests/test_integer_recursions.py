@@ -2,22 +2,30 @@
 
 Every public recursion is compared with a route that shares none of its
 code: ideal-graph path counts for the order polynomial, the localized
-Eulerian series and the weak order polynomial, the closed-form chain
-assembly for e, and direct map enumeration for the quasi-symmetric value.
+Eulerian series and the weak order polynomial, the paper's e and etilde
+recursions in run_invariant, and direct map enumeration for the
+quasi-symmetric value.
 """
 
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from posetpoly import invariants
+from posetpoly import invariants, stats
 from posetpoly.eulerian import eulerian_from_chains, eulerian_recursive, eulerian_tilde_recursive
-from posetpoly.framework import qsym_direct, qsym_recursive
+from posetpoly.framework import (
+    etilde_spec,
+    eulerian_spec,
+    qsym_direct,
+    qsym_recursive,
+    run_invariant,
+)
 from posetpoly.invariants import SMALL_CLASS_MAX, order_poly_recursive
 from posetpoly.omegagraph import build_omega_graph, count_paths
-from posetpoly.posets import LabeledPoset, make_poset, natural_labeling
+from posetpoly.posets import LabeledPoset, make_chain, make_poset, natural_labeling
 from posetpoly.unlabeled import order_poly_unlabeled
 
 
@@ -63,8 +71,10 @@ def test_eulerian_pair_matches_chain_route_and_series(lp):
     n = lp.size
     e = eulerian_recursive(lp)
     assert e == eulerian_from_chains(lp).e
+    assert e == run_invariant(eulerian_spec(), lp)
     assert all_fractions(e.coeffs)
     etilde = eulerian_tilde_recursive(lp)
+    assert etilde == run_invariant(etilde_spec(), lp)
     assert etilde.pole_order == n + 1
     assert all_fractions(etilde.numerator.coeffs)
     paths = multipaths(lp)
@@ -87,6 +97,39 @@ def test_weak_polynomial_matches_natural_path_counts(lp):
     assert all_fractions(weak.coeffs)
     for m in range(lp.size + 2):
         assert weak(m) == paths.multipath(m)
+
+
+def test_eulerian_pair_reads_the_order_polynomials_coordinates(monkeypatch):
+    monkeypatch.setattr(invariants, "_SMALL_LABELED", {})
+    monkeypatch.setattr(invariants, "_LAST_LARGE", None)
+    for lp in LARGE:
+        order_poly_recursive(lp)
+        stats.reset()
+        eulerian_recursive(lp)
+        eulerian_tilde_recursive(lp)
+        counts = stats.snapshot()
+        assert counts["small_class_expansions"] == 0
+        assert counts["large_class_expansions"] == 0
+        assert counts["ideals"] == 0
+
+
+def stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_a_long_chain_needs_no_deep_call_stack():
+    chain = make_chain(120)
+    lp = LabeledPoset(chain, natural_labeling(chain))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 50)
+    try:
+        omega = order_poly_recursive(lp)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [omega(m) for m in range(6)] == [comb(m + 119, 120) for m in range(6)]
 
 
 def test_cross_call_memos_hold_only_small_classes():
