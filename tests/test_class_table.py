@@ -285,3 +285,16 @@ def test_one_recursion_reads_the_pinned_counts(monkeypatch):
     assert counts["ideals"] == 1708
     assert counts["small_class_expansions"] == 35
     assert counts["large_class_expansions"] == 54
+
+
+def test_the_weak_polynomial_reads_the_pinned_strict_counts(monkeypatch):
+    """The weak polynomial from empty memos runs the strict recursion, which
+    grows only subsets of minimal elements: 1,685 ideals, where the
+    recursion on a natural labeling grows 4,507."""
+    monkeypatch.setattr(invariants, "_SMALL_LABELED", {})
+    monkeypatch.setattr(invariants, "_LAST_LARGE", None)
+    lp = list(seeded_labeled_posets(5, 1972))[4]
+    assert lp.size == 10
+    stats.reset()
+    order_poly_unlabeled(lp.poset)
+    assert stats.snapshot()["ideals"] == 1685

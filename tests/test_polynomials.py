@@ -3,7 +3,9 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from posetpoly import polynomials
+from posetpoly import invariants, polynomials
+from posetpoly.catalog import labeled_catalog
+from posetpoly.invariants import binomial_step, class_coordinates, order_poly_recursive, top_record
 from posetpoly.polynomials import (
     UniPoly,
     binomial_poly,
@@ -178,14 +180,67 @@ def test_from_binomial_basis_matches_the_binomial_sum():
         assert from_binomial_basis(coords) == expected
 
 
-def test_from_binomial_basis_shares_equal_fractions_within_a_bound():
+def shared_table_size():
+    return sum(len(row) for row in polynomials._SHARED_FRACTIONS.by_denominator.values())
+
+
+BOUND = polynomials._SHARED_FRACTIONS.bound
+
+
+def use_empty_table(monkeypatch, bound=BOUND):
+    monkeypatch.setattr(polynomials, "_SHARED_FRACTIONS", polynomials._SharedFractions(bound))
+
+
+def test_from_binomial_basis_shares_equal_fractions_within_a_bound(monkeypatch):
+    use_empty_table(monkeypatch)
     first = from_binomial_basis((0, 0, 3))  # 3·C(t,2) = 3/2·t^2 - 3/2·t
     again = from_binomial_basis((0, 0, 3))
     assert first == again and first is not again
     assert first.coeffs[2] is again.coeffs[2]
-    for odd in range(1, 2 * polynomials._SHARED_MAX + 20, 2):
+    for odd in range(1, 2 * BOUND + 20, 2):
         assert from_binomial_basis((0, 0, odd)).coeffs[2] == Fr(odd, 2)
-    assert len(polynomials._SHARED_FRACTIONS) <= polynomials._SHARED_MAX
+    assert shared_table_size() == polynomials._SHARED_FRACTIONS.size == BOUND
+
+
+def test_equal_coefficients_are_one_object_across_denominators(monkeypatch):
+    use_empty_table(monkeypatch)
+    # 2·C(t,3) = 1/3·t^3 - t^2 + 2/3·t, so 2/6 and 4/6 are looked up reduced
+    first = from_binomial_basis((0, 1, 0, 2))
+    again = from_binomial_basis((0, 1, 0, 2))
+    assert first is not again
+    assert all(a is b for a, b in zip(first.coeffs, again.coeffs))
+    assert first.coeffs == (0, Fr(5, 3), -1, Fr(1, 3))
+    assert from_binomial_basis((0, 0, 0, 2)).coeffs[3] is first.coeffs[3]
+
+
+def test_the_table_keeps_its_values_past_its_bound(monkeypatch):
+    use_empty_table(monkeypatch, 16)
+    first = from_binomial_basis((0, 0, 1)).coeffs[2]
+    for odd in range(3, 101, 2):
+        value = from_binomial_basis((0, 0, odd)).coeffs[2]
+        assert type(value) is Fr and value == Fr(odd, 2)
+        assert shared_table_size() <= 16
+    assert shared_table_size() == polynomials._SHARED_FRACTIONS.size == 16
+    # admitted values stay shared, later ones are exact objects of their own
+    assert from_binomial_basis((0, 0, 1)).coeffs[2] is first
+    late = from_binomial_basis((0, 0, 99)).coeffs[2]
+    assert late == Fr(99, 2) and late is not from_binomial_basis((0, 0, 99)).coeffs[2]
+
+
+def test_recursive_order_polynomials_do_not_depend_on_the_table(monkeypatch):
+    """The labeled catalog's order polynomials equal the binomial sums of
+    their coordinates, with every fraction shared and with none shared."""
+    catalog = labeled_catalog(5)
+    expected = []
+    for lp in catalog:
+        record, table = top_record(lp)
+        coords = class_coordinates(record, "omega", binomial_step, table)
+        expected.append(sum((c * binomial_poly(k) for k, c in enumerate(coords)), UniPoly()))
+    for bound in (BOUND, 0):
+        monkeypatch.setattr(invariants, "_SMALL_LABELED", {})
+        use_empty_table(monkeypatch, bound)
+        assert [order_poly_recursive(lp) for lp in catalog] == expected
+        assert shared_table_size() <= bound
 
 
 def test_lagrange_line():

@@ -2,8 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from posetpoly.catalog import posets_up_to
-from posetpoly.invariants import order_poly_bruteforce
+from posetpoly import unlabeled
+from posetpoly.catalog import labeled_catalog, posets_up_to
+from posetpoly.invariants import (
+    binomial_step,
+    class_coordinates,
+    order_poly_bruteforce,
+    reflected_coordinates,
+    top_record,
+)
 from posetpoly.polynomials import UniPoly
 from posetpoly.posets import (
     LabeledPoset,
@@ -121,6 +128,17 @@ def test_builtin_labelings_are_extension_labelings():
         assert reversed_labeling(p) == flipped(extension_labeling(p), p.size)
 
 
+def test_the_reflection_checks_do_not_read_the_weak_route(monkeypatch):
+    """Both checks take their weak side from the recursion on a natural
+    labeling: a fault planted in the weak route's reflection breaks the
+    route and leaves the checks true."""
+    monkeypatch.setattr(unlabeled, "reflected_coordinates", lambda coords: coords)
+    assert order_poly_unlabeled(make_chain(2)) != UniPoly([0, HALF, HALF])
+    for p in posets_up_to(4):
+        if p.size:
+            assert reciprocity_check(p) and strict_value_at_one_check(p)
+
+
 def test_minimal_flavor_needs_fewer_subcalls():
     for p in posets_up_to(5):
         assert count_subcalls(p, "minimal") <= count_subcalls(p, "ideals")
@@ -140,3 +158,22 @@ def test_count_subcalls_rejects_unknown_flavor():
     with pytest.raises(ValueError, match="nope"):
         count_subcalls(make_chain(2), "nope")
 
+
+def omega_coordinates(lp):
+    record, table = top_record(lp)
+    return class_coordinates(record, "omega", binomial_step, table)
+
+
+def test_reflected_coordinates_are_the_complementary_labelings():
+    """Omega(P, complementary labeling; t) = (-1)^|P| Omega(P, omega; -t) on
+    every labeled catalog poset, in integer binomial coordinates: the
+    reflection of one recursion's coordinates against another recursion."""
+    cases = 0
+    for lp in labeled_catalog(5):
+        if lp.size == 0:
+            continue
+        top = max(lp.omega) + 1
+        complementary = LabeledPoset(lp.poset, tuple(top - w for w in lp.omega))
+        assert reflected_coordinates(omega_coordinates(lp)) == omega_coordinates(complementary)
+        cases += 1
+    assert cases == 435
