@@ -9,6 +9,8 @@ order (take any linear extension), so this enumeration is exhaustive.
 
 Labelings per poset: one natural, one reversed, plus a seeded batch of
 pseudo-random injections, so suites exercise mixed labelings reproducibly.
+labeled_classes lists every labeled class instead: each catalog poset under
+every permutation of 1..n, deduplicated by canonical_key.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from posetpoly.posets import (
     LabeledPoset,
     Poset,
     add_cover,
+    canonical_key,
     natural_labeling,
     reversed_labeling,
     unlabeled_canonical_key,
@@ -31,6 +34,7 @@ __all__ = [
     "posets_up_to",
     "standard_labelings",
     "labeled_catalog",
+    "labeled_classes",
 ]
 
 _LABEL_SEED = 20260815
@@ -84,3 +88,16 @@ def labeled_catalog(max_size: int, random_count: int = 3) -> list[LabeledPoset]:
         for omega in standard_labelings(p, random_count):
             out.append(LabeledPoset(p, omega))
     return out
+
+
+def labeled_classes(n: int) -> list[LabeledPoset]:
+    """One labeled poset per labeled class on n points (1, 1, 3, 19, 219 and
+    4,231 for n = 0..5): every catalog poset under every labeling by 1..n,
+    the first of each class kept.  Isomorphic posets fall in the same
+    classes, so one representative per isomorphism class reaches them all."""
+    by_key: dict[tuple, LabeledPoset] = {}
+    for p in all_posets(n):
+        for omega in itertools.permutations(range(1, n + 1)):
+            lp = LabeledPoset(p, omega)
+            by_key.setdefault(canonical_key(lp), lp)
+    return list(by_key.values())

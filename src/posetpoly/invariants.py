@@ -34,10 +34,11 @@ was asked about, and one slot keeps the table of the most recent top:
 Omega and qsym of one poset share it, so each large class lists its
 children once for both, and e and etilde list none once Omega has run.
 The slot holds children and coordinates, never a public value.  Children
-are listed from a key's masks, with no Poset or LabeledPoset per class,
+are listed from a key's below masks, with no Poset or LabeledPoset per
+class: the omega-natural ideals grow in label order, each after its parent,
 and each child's key is squeezed in one step per mask from the key of the
-complement of a one-smaller ideal (child_key), so listing the children of
-a class of k points costs O(k) per ideal.
+complement of the parent (child_key), so listing the children of a class
+of k points costs O(k) per ideal, with no transpose and no sort.
 
 phi is the t-coefficient of the order polynomial, computed here from
 alternating path counts; the flag sums rebuild the whole polynomial from
@@ -182,7 +183,7 @@ Step = Callable[[int, list[tuple[object, int, int]]], object]
 
 
 class ClassRecord:
-    """One labeled poset class in an integer recursion: its key, the above
+    """One labeled poset class in an integer recursion: its key, the below
     masks of a representative in label order (so its size is len(key)), and
     its integer coordinates for Omega (which e and etilde read too) and for
     qsym.  A class of at most SMALL_CLASS_MAX elements also holds the public
@@ -325,29 +326,27 @@ def labeled_children(
 ) -> list[tuple[ClassRecord, int, int]]:
     """The classes P \\ S for the nonempty omega-natural ideals S of the class.
 
-    A key lists the above masks in label order (canonical_key), so the
-    representative is labeled 1..n by index: no omega-natural ideal holds an
-    element of key[x] & ((1 << x) - 1), and every induced subposet keeps label
-    order, so the child's masks are already its key.  The ideals grow as in
-    posets.omega_natural_ideals, from the key's masks with no Poset built.
+    A key lists the below masks in label order (canonical_key), so the
+    representative is labeled 1..n by index and key[x] is x's lower set.
+    An x with key[x] >> x nonzero has a later element in its lower set, so
+    it could never join an ideal grown in label order and is skipped.  Label
+    order is a linear extension of the other elements, so the ideals grow
+    along it (posets._grow_ideals) with no transpose and no sort, and every
+    ideal comes after its parent, the ideal without its highest bit.  Every
+    induced subposet keeps label order, so the child's masks are already
+    its key.
 
-    The ideals come in (cardinality, mask) order, so each child key is
-    squeezed from the key kept for a one-smaller ideal (child_key): one step
-    per mask, not one per mask and removed element, so a class of k points
-    costs O(k) per ideal.  The keys live only for the call.
+    Each child key is squeezed from its parent ideal's key (child_key): one
+    step per mask, not one per mask and removed element, so a class of k
+    points costs O(k) per ideal.  The keys live only for the call.
     """
     size = len(key)
     COUNTERS["large_class_expansions" if size > SMALL_CLASS_MAX else "small_class_expansions"] += 1
-    blocked = 0
-    below = [0] * size
-    for x, above in enumerate(key):
-        blocked |= above & ((1 << x) - 1)
-        for y in iter_bits(above):
-            below[y] |= 1 << x
     full = (1 << size) - 1
     keys = {0: key}
     counts: dict[tuple[ClassRecord, int], int] = {}
-    for ideal in posets._grow_ideals(below, full & ~blocked):
+    order = [x for x, below in enumerate(key) if not below >> x]
+    for ideal in posets._grow_ideals(key, order):
         if ideal:
             child = (class_record(child_key(keys, full, ideal), table), ideal.bit_count())
             counts[child] = counts.get(child, 0) + 1
@@ -363,8 +362,8 @@ def child_key(keys: dict[int, tuple[int, ...]], full: int, ideal: int) -> tuple[
     t is maximal in it and ideal - t is a smaller omega-natural ideal.  The
     key of P \\ ideal is the key of P \\ (ideal - t) with t's mask dropped
     and the gap at t's position closed in every other mask, one step per
-    mask; no remaining mask holds t's bit, since t is above none of them.
-    A parent missing from keys is built the same way.
+    mask; closing the gap drops t's bit from the below masks of the
+    elements above t.  A parent missing from keys is built the same way.
     """
     t = ideal.bit_length() - 1
     parent = ideal ^ (1 << t)

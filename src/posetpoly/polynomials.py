@@ -297,13 +297,18 @@ def delta_inverse(p: UniPoly) -> UniPoly:
     Works in the binomial basis: Newton's forward formula writes
     p = sum_k beta_k C(t,k) with beta_k the k-th forward difference of p
     at 0, and delta C(t,k+1) = C(t,k), so g = sum_k beta_k C(t,k+1).
-    Every C(t,k+1) vanishes at 0, so the pinning is structural.
+    Every C(t,k+1) vanishes at 0, so the pinning is structural.  Each
+    basis element comes from the last, C(t,k+1) = C(t,k)·(t-k)/(k+1), one
+    product per k.
     """
     d = max(p.degree, 0)
     table = [p(j) for j in range(d + 1)]
     g = UniPoly()
+    basis = UniPoly((0, 1))  # C(t,1)
     for k in range(d + 1):
-        g = g + table[0] * binomial_poly(k + 1)
+        if k:
+            basis = basis * UniPoly((Fraction(-k, k + 1), Fraction(1, k + 1)))
+        g = g + table[0] * basis
         table = [table[j + 1] - table[j] for j in range(len(table) - 1)]
     return g
 

@@ -24,10 +24,14 @@ below them in one pass over the above masks.
 
 Ideals grow along a linear extension: each element in turn joins every
 ideal grown so far that holds its lower set, one list comprehension per
-element, and the list is sorted once at the end.  The omega-natural ideals
-grow the same way over only the elements with no larger-labeled element
-below them, so they are never filtered out of all ideals.  Both are
-metered as the ideals kind of posetpoly.stats, whose budget they stop at.
+element, so every ideal comes after its parent, the ideal without the
+element it gained last.  enumerate_ideals grows along lower-set size and
+sorts the list once at the end.  The omega-natural ideals grow the same
+way over only the elements with no larger-labeled element below them, so
+they are never filtered out of all ideals; the class recursion grows them
+in label order from a canonical_key, whose below masks in label order
+need no sort (invariants.labeled_children).  All are metered as the ideals
+kind of posetpoly.stats, whose budget they stop at.
 """
 
 from __future__ import annotations
@@ -251,27 +255,34 @@ class LabeledPoset:
         return f"LabeledPoset({self.poset!r}, {self.omega!r})"
 
 
-def _grow_ideals(below: Sequence[int], admitted: int) -> list[int]:
-    """The ideals inside admitted of the order with these below masks, by
-    (cardinality, mask); no Poset needed, so a class key can be grown.
+def _grow_ideals(below: Sequence[int], order: Sequence[int]) -> list[int]:
+    """The ideals of the order with these below masks whose elements all
+    lie in order, a linear extension of the elements it lists; no Poset
+    needed, so a class key can be grown.
 
-    The elements are taken in order of lower-set size, a linear extension
-    because x < y makes below[x] a proper subset of below[y].  Each
-    admitted x joins every ideal grown so far that holds its lower set, so
-    after each step the list holds exactly the ideals among the elements
-    taken.  The list at most doubles per step and is refused as soon as it
-    passes the budget.
+    Each x of order in turn joins every ideal grown so far that holds its
+    lower set, so after each step the list holds exactly the ideals among
+    the elements taken, and every ideal comes after its parent, the ideal
+    without the element of it taken last.  The list at most doubles per
+    step and is refused as soon as it passes the budget.
     """
     budget = stats.limit()
     ideals = [0]
-    for x in sorted(range(len(below)), key=lambda e: below[e].bit_count()):
-        if (admitted >> x) & 1:
-            need = below[x]
-            bit = 1 << x
-            ideals += [ideal | bit for ideal in ideals if ideal & need == need]
-            if len(ideals) > budget:
-                break
+    for x in order:
+        need = below[x]
+        bit = 1 << x
+        ideals += [ideal | bit for ideal in ideals if ideal & need == need]
+        if len(ideals) > budget:
+            break
     stats.charge("ideals", len(ideals), _too_many_ideals, budget)
+    return ideals
+
+
+def _ideals_by_size(below: Sequence[int], admitted: int) -> list[int]:
+    """The ideals inside admitted, by (cardinality, mask), grown along the
+    admitted elements by lower-set size, a linear extension because x < y
+    makes below[x] a proper subset of below[y]."""
+    ideals = _grow_ideals(below, sorted(iter_bits(admitted), key=lambda e: below[e].bit_count()))
     ideals.sort()
     ideals.sort(key=int.bit_count)  # stable: (cardinality, mask)
     return ideals
@@ -289,7 +300,7 @@ def enumerate_ideals(p: Poset) -> list[int]:
     last, and containment always means a smaller index.  Raises
     stats.BudgetError past the ideal budget.
     """
-    return _grow_ideals(p.below, p.full_mask)
+    return _ideals_by_size(p.below, p.full_mask)
 
 
 def omega_natural_ideals(lp: LabeledPoset) -> list[int]:
@@ -304,13 +315,14 @@ def omega_natural_ideals(lp: LabeledPoset) -> list[int]:
         for y in iter_bits(above & ~violated):
             if omega[y] < omega[x]:
                 violated |= 1 << y
-    return _grow_ideals(lp.poset.below, lp.poset.full_mask & ~violated)
+    return _ideals_by_size(lp.poset.below, lp.poset.full_mask & ~violated)
 
 
 def induced_relation(above: Sequence[int], subset: int) -> tuple[int, ...]:
-    """The above masks of the sub-order on subset of the order with these
-    above masks, elements reindexed in mask order.  Each mask is compressed
-    by closing the gap of every removed element, highest first."""
+    """The above (or below) masks of the sub-order on subset of the order
+    with these above (or below) masks, elements reindexed in mask order.
+    Each mask is compressed by closing the gap of every removed element,
+    highest first."""
     gaps = [(1 << r) - 1 for r in range(len(above) - 1, -1, -1) if not (subset >> r) & 1]
     masks = []
     for e, up in enumerate(above):
@@ -342,14 +354,25 @@ def canonicalize(lp: LabeledPoset) -> LabeledPoset:
 
 
 def canonical_key(lp: LabeledPoset) -> tuple[int, tuple[int, ...]]:
-    """A complete invariant of the labeled-poset equivalence class.
+    """A complete invariant of the labeled-poset equivalence class: each
+    element's below mask, elements and bits in label-rank order.
 
     Sorting elements by label rank is forced on any equivalence (the
     isomorphism must preserve relative labels), so the relation masks in
-    rank order pin the class exactly.
+    rank order pin the class exactly.  Below masks let the class recursion
+    read each element's lower set straight off the key
+    (invariants.labeled_children).  One pass over the above masks sets
+    them, with no below masks derived first.
     """
-    order = sorted(range(lp.size), key=lambda e: lp.omega[e])
-    return (lp.size, _relation_under_order(lp.poset, order))
+    rank = [0] * lp.size
+    for k, e in enumerate(sorted(range(lp.size), key=lp.omega.__getitem__)):
+        rank[e] = k
+    masks = [0] * lp.size
+    for e, up in enumerate(lp.poset.above):
+        bit = 1 << rank[e]
+        for y in iter_bits(up):
+            masks[rank[y]] |= bit
+    return (lp.size, tuple(masks))
 
 
 def _refine_colors(p: Poset) -> list[int]:

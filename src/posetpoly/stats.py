@@ -10,9 +10,10 @@ raise it", on which the CLI exits 1.  Any other count is added to
 COUNTERS[kind].  The kinds, and what each budget counts:
 
 - ideals: the lists grown by posets._grow_ideals (for enumerate_ideals,
-  omega_natural_ideals and invariants.labeled_children) and by the search
-  of omegagraph.path_counts, which read limit() once and stop as soon as
-  a list passes it;
+  omega_natural_ideals and, in label order from a class key,
+  invariants.labeled_children) and by the search of
+  omegagraph.path_counts, which read limit() once and stop as soon as a
+  list passes it;
 - maps: N^|P| maps into [N] per call of framework.qsym_direct and of
   invariants.order_poly_bruteforce (N = |P|, so |P| <= B), the work done:
   both walk each map once (invariants.admissible_maps);

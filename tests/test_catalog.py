@@ -1,5 +1,11 @@
-from posetpoly.catalog import all_posets, labeled_catalog, posets_up_to, standard_labelings
-from posetpoly.posets import unlabeled_canonical_key
+from posetpoly.catalog import (
+    all_posets,
+    labeled_catalog,
+    labeled_classes,
+    posets_up_to,
+    standard_labelings,
+)
+from posetpoly.posets import canonical_key, unlabeled_canonical_key
 
 
 def test_poset_counts_up_to_isomorphism():
@@ -31,3 +37,12 @@ def test_standard_labelings_shape():
 
 def test_labeled_catalog_size():
     assert len(labeled_catalog(3, random_count=3)) == (1 + 1 + 2 + 5) * 5
+
+
+def test_labeled_classes_are_every_class_once():
+    # the labeled posets on an n-set up to isomorphism preserving relative labels
+    for n, count in enumerate((1, 1, 3, 19, 219, 4231)):
+        classes = labeled_classes(n)
+        assert len(classes) == count
+        assert len({canonical_key(lp) for lp in classes}) == count
+        assert all(sorted(lp.omega) == list(range(1, n + 1)) for lp in classes)

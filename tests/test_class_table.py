@@ -18,7 +18,7 @@ import pytest
 
 from posetpoly import invariants, stats
 from posetpoly.bernoulli import bernoulli_numbers_oracle
-from posetpoly.catalog import all_posets, labeled_catalog, posets_up_to
+from posetpoly.catalog import all_posets, labeled_catalog, labeled_classes, posets_up_to
 from posetpoly.eulerian import eulerian_from_chains, eulerian_recursive, eulerian_tilde_recursive
 from posetpoly.framework import qsym_direct, qsym_recursive
 from posetpoly.invariants import (
@@ -219,15 +219,26 @@ def seeded_labeled_posets(count, seed, smallest=8, largest=12):
         yield LabeledPoset(make_poset(size, covers), labels)
 
 
+def representative(key):
+    """The class representative labeled 1..n by index, its above masks
+    transposed from the key's below masks."""
+    above = [0] * len(key)
+    for y, below in enumerate(key):
+        for x in iter_bits(below):
+            above[x] |= 1 << y
+    return LabeledPoset(Poset(above), range(1, len(key) + 1))
+
+
 def reference_children(key):
     """(child key, removed, multiplicity) over every nonempty subset S of the
     class representative that is down-closed and omega-natural, S in
-    (cardinality, mask) order, each child where it first occurs."""
-    rep = LabeledPoset(Poset(key), range(1, len(key) + 1))
+    increasing mask order (the order label-order growth lists them in),
+    each child where it first occurs."""
+    rep = representative(key)
     full = rep.poset.full_mask
     below = rep.poset.below
     counts = {}
-    for subset in sorted(range(1, full + 1), key=lambda s: (s.bit_count(), s)):
+    for subset in range(1, full + 1):
         down_closed = all(below[x] & ~subset == 0 for x in iter_bits(subset))
         if down_closed and rep.is_omega_natural(subset):
             child = (canonical_key(induced_subposet(rep, full ^ subset))[1], subset.bit_count())
@@ -247,8 +258,16 @@ def test_labeled_children_match_a_subset_reference():
         assert listed == reference_children(key), lp
 
 
+def test_labeled_children_match_the_subset_reference_on_every_class_up_to_5_points():
+    for n in range(6):
+        for lp in labeled_classes(n):
+            key = canonical_key(lp)[1]
+            listed = [(child.key, removed, mult) for child, removed, mult in labeled_children(key, {})]
+            assert listed == reference_children(key), lp
+
+
 def test_squeezed_child_keys_match_induced_relation_and_the_subset_reference():
-    # every labeled class up to 5 points, seeded 6-9-point classes and the
+    # the labeled catalog up to 5 points, seeded 6-9-point classes and the
     # natural 40-chain, each through its representative labeled 1..n by index
     chain = make_chain(40)
     inputs = [
@@ -258,7 +277,8 @@ def test_squeezed_child_keys_match_induced_relation_and_the_subset_reference():
     ]
     for lp in inputs:
         key = canonical_key(lp)[1]
-        rep = LabeledPoset(Poset(key), range(1, len(key) + 1))
+        rep = representative(key)
+        assert rep.poset.below == key
         full = rep.poset.full_mask
         ideals = omega_natural_ideals(rep)[1:]
         expected = [induced_relation(key, full ^ ideal) for ideal in ideals]

@@ -1,4 +1,5 @@
-"""The integer recursions above the size of the cross-call class memo.
+"""The integer recursions on every labeled class up to 4 points and above
+the size of the cross-call class memo.
 
 Every public recursion is compared with a route that shares none of its
 code: ideal-graph path counts for the order polynomial, the localized
@@ -14,7 +15,8 @@ from math import comb
 
 import pytest
 
-from posetpoly import invariants, stats
+from posetpoly import invariants, omegagraph, stats
+from posetpoly.catalog import labeled_classes
 from posetpoly.eulerian import eulerian_from_chains, eulerian_recursive, eulerian_tilde_recursive
 from posetpoly.framework import (
     etilde_spec,
@@ -24,7 +26,7 @@ from posetpoly.framework import (
     run_invariant,
 )
 from posetpoly.invariants import SMALL_CLASS_MAX, order_poly_recursive
-from posetpoly.omegagraph import build_omega_graph, count_paths
+from posetpoly.omegagraph import build_omega_graph, count_paths, path_counts
 from posetpoly.posets import LabeledPoset, make_chain, make_poset, natural_labeling
 from posetpoly.unlabeled import order_poly_unlabeled
 
@@ -97,6 +99,27 @@ def test_weak_polynomial_matches_natural_path_counts(lp):
     assert all_fractions(weak.coeffs)
     for m in range(lp.size + 2):
         assert weak(m) == paths.multipath(m)
+
+
+def test_every_class_up_to_4_points_matches_path_counts_and_direct_qsym(monkeypatch):
+    # empty memos, so the recursion expands every class here itself
+    monkeypatch.setattr(invariants, "_SMALL_LABELED", {})
+    monkeypatch.setattr(invariants, "_LAST_LARGE", None)
+    monkeypatch.setattr(omegagraph, "_LAST_PATHS", None)
+    classes = [lp for n in range(5) for lp in labeled_classes(n)]
+    assert len(classes) == 243
+    for lp in classes:
+        n = lp.size
+        counts = path_counts(lp)
+        values = [counts.multipath(m) for m in range(n + 2)]
+        omega = order_poly_recursive(lp)
+        assert [omega(m) for m in range(n + 2)] == values, lp
+        e = eulerian_recursive(lp)
+        assert [series_coefficient(e, n + 1, m) for m in range(n + 2)] == values, lp
+        etilde = eulerian_tilde_recursive(lp)
+        assert etilde.numerator == e and etilde.pole_order == n + 1, lp
+        for nvars in (1, 2, 3):
+            assert qsym_recursive(lp, nvars) == qsym_direct(lp, nvars), lp
 
 
 def test_eulerian_pair_reads_the_order_polynomials_coordinates(monkeypatch):

@@ -51,8 +51,8 @@ def union_faults(seed: int) -> list[str]:
 def drop_a_pair_ideal(monkeypatch):
     grow = posets._grow_ideals
 
-    def dropping(below, admitted):
-        ideals = grow(below, admitted)
+    def dropping(below, order):
+        ideals = grow(below, order)
         pairs = [ideal for ideal in ideals if ideal.bit_count() == 2]
         if len(below) >= FAULTY_FROM and pairs:
             ideals.remove(pairs[0])
