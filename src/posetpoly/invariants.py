@@ -35,10 +35,12 @@ Omega and qsym of one poset share it, so each large class lists its
 children once for both, and e and etilde list none once Omega has run.
 The slot holds children and coordinates, never a public value.  Children
 are listed from a key's below masks, with no Poset or LabeledPoset per
-class: the omega-natural ideals grow in label order, each after its parent,
-and each child's key is squeezed in one step per mask from the key of the
-complement of the parent (child_key), so listing the children of a class
-of k points costs O(k) per ideal, with no transpose and no sort.
+class, in one label-order pass (complement_keys): each omega-natural ideal
+grows from its parent, the ideal without its largest label, and its
+complement's key is squeezed from the parent's in one step per mask, so
+listing the children of a class of k points costs O(k) per ideal, with no
+transpose, no sort and no table of keys.  The walk reads the ideals budget
+once and charges each class's list of ideals to it.
 
 phi is the t-coefficient of the order polynomial, computed here from
 alternating path counts; the flag sums rebuild the whole polynomial from
@@ -284,8 +286,10 @@ def class_coordinates(
     over the children that labeled_children lists.  No call nests: a stack
     lists the records below record that lack the quantity, computed by
     increasing size, since every child is smaller than its parent.  A large
-    class keeps its children; a small one holds them only for this call."""
+    class keeps its children; a small one holds them only for this call.
+    The ideals budget is read once per walk and passed to every expansion."""
     if getattr(record, name) is None:
+        budget = stats.limit()
         pending: dict[ClassRecord, list[tuple[ClassRecord, int, int]]] = {}
         stack = [record]
         while stack:
@@ -294,7 +298,7 @@ def class_coordinates(
                 continue
             children = current.children
             if children is None:
-                children = labeled_children(current.key, table)
+                children = labeled_children(current.key, table, budget)
                 if len(current.key) > SMALL_CLASS_MAX:
                     current.children = children
             pending[current] = children
@@ -322,61 +326,68 @@ def public_value(record: ClassRecord, name: str, build: Callable[[], object]) ->
 
 
 def labeled_children(
-    key: tuple, table: dict[tuple, ClassRecord]
+    key: tuple, table: dict[tuple, ClassRecord], budget: int
 ) -> list[tuple[ClassRecord, int, int]]:
-    """The classes P \\ S for the nonempty omega-natural ideals S of the class.
+    """The classes P \\ S for the nonempty omega-natural ideals S of the class,
+    as (record, removed size, multiplicity), each child where it first occurs
+    in growth order.
+
+    The complement keys that complement_keys grows are counted by key, and
+    each distinct child is resolved to its record once, its removed size
+    read off its key.  budget is the ideals budget (stats.limit()), which a
+    walk reads once for all its classes.
+    """
+    size = len(key)
+    COUNTERS["large_class_expansions" if size > SMALL_CLASS_MAX else "small_class_expansions"] += 1
+    _, keys = complement_keys(key, budget)
+    counts: dict[tuple, int] = {}
+    for child in keys[1:]:  # keys[0] is the class itself, the empty ideal's complement
+        counts[child] = counts.get(child, 0) + 1
+    return [(class_record(child, table), size - len(child), mult) for child, mult in counts.items()]
+
+
+def complement_keys(key: tuple, budget: int) -> tuple[list[int], list[tuple]]:
+    """The omega-natural ideals of the class, the empty one first, and the
+    key of each one's complement, grown together in label order.
 
     A key lists the below masks in label order (canonical_key), so the
     representative is labeled 1..n by index and key[x] is x's lower set.
     An x with key[x] >> x nonzero has a later element in its lower set, so
     it could never join an ideal grown in label order and is skipped.  Label
-    order is a linear extension of the other elements, so the ideals grow
-    along it (posets._grow_ideals) with no transpose and no sort, and every
-    ideal comes after its parent, the ideal without its highest bit.  Every
-    induced subposet keeps label order, so the child's masks are already
+    order is a linear extension of the other elements, so each x in turn
+    joins every ideal I grown so far that holds its lower set, with no
+    transpose and no sort, and every ideal comes after its parent.  Every
+    induced subposet keeps label order, so a complement's masks are already
     its key.
 
-    Each child key is squeezed from its parent ideal's key (child_key): one
-    step per mask, not one per mask and removed element, so a class of k
-    points costs O(k) per ideal.  The keys live only for the call.
+    x is larger than every element of I, so it sits at position
+    gap = x - |I| of the complement of I.  The key of the complement of
+    I + x is I's complement key squeezed at gap: x's mask dropped and the
+    gap closed in every other mask, which drops x's bit from the masks of
+    the elements above it.  That is one step per mask, so a class of k
+    points costs O(k) per ideal.  The list is charged to the ideals budget,
+    and refused as soon as it passes it.
     """
-    size = len(key)
-    COUNTERS["large_class_expansions" if size > SMALL_CLASS_MAX else "small_class_expansions"] += 1
-    full = (1 << size) - 1
-    keys = {0: key}
-    counts: dict[tuple[ClassRecord, int], int] = {}
-    order = [x for x, below in enumerate(key) if not below >> x]
-    for ideal in posets._grow_ideals(key, order):
-        if ideal:
-            child = (class_record(child_key(keys, full, ideal), table), ideal.bit_count())
-            counts[child] = counts.get(child, 0) + 1
-    return [(child, removed, mult) for (child, removed), mult in counts.items()]
-
-
-def child_key(keys: dict[int, tuple[int, ...]], full: int, ideal: int) -> tuple[int, ...]:
-    """The key of P \\ ideal for a nonempty omega-natural ideal of the class
-    whose key is keys[0]; keys maps ideals to the keys of their complements
-    and gains the key computed here.
-
-    In label order the highest bit t of the ideal is its largest label, so
-    t is maximal in it and ideal - t is a smaller omega-natural ideal.  The
-    key of P \\ ideal is the key of P \\ (ideal - t) with t's mask dropped
-    and the gap at t's position closed in every other mask, one step per
-    mask; closing the gap drops t's bit from the below masks of the
-    elements above t.  A parent missing from keys is built the same way.
-    """
-    t = ideal.bit_length() - 1
-    parent = ideal ^ (1 << t)
-    masks = keys.get(parent)
-    if masks is None:
-        masks = child_key(keys, full, parent)
-    gap = ((full ^ ideal) & ((1 << t) - 1)).bit_count()
-    low = (1 << gap) - 1
-    high = ~low
-    squeezed = [mask if mask <= low else (mask & low) | ((mask >> 1) & high) for mask in masks]
-    del squeezed[gap]
-    keys[ideal] = key = tuple(squeezed)
-    return key
+    ideals = [0]
+    keys = [key]
+    for x, need in enumerate(key):
+        if need >> x:
+            continue
+        bit = 1 << x
+        for i in range(len(ideals)):
+            ideal = ideals[i]
+            if ideal & need == need:
+                gap = x - ideal.bit_count()
+                low = (1 << gap) - 1
+                high = ~low
+                squeezed = [m if m <= low else (m & low) | ((m >> 1) & high) for m in keys[i]]
+                del squeezed[gap]
+                ideals.append(ideal | bit)
+                keys.append(tuple(squeezed))
+        if len(ideals) > budget:
+            break
+    stats.charge("ideals", len(ideals), posets._too_many_ideals, budget)
+    return ideals, keys
 
 
 def binomial_step(size: int, children: list[tuple[object, int, int]]) -> tuple[int, ...]:

@@ -28,10 +28,12 @@ element, so every ideal comes after its parent, the ideal without the
 element it gained last.  enumerate_ideals grows along lower-set size and
 sorts the list once at the end.  The omega-natural ideals grow the same
 way over only the elements with no larger-labeled element below them, so
-they are never filtered out of all ideals; the class recursion grows them
-in label order from a canonical_key, whose below masks in label order
-need no sort (invariants.labeled_children).  All are metered as the ideals
-kind of posetpoly.stats, whose budget they stop at.
+they are never filtered out of all ideals.  enumerate_ideals and
+omega_natural_ideals both grow through _grow_ideals.  The class recursion
+grows its own, in label order from a canonical_key, together with each
+complement's key (invariants.complement_keys), so it shares no growth
+with run_invariant.  All are metered as the ideals kind of
+posetpoly.stats, whose budget they stop at.
 """
 
 from __future__ import annotations
@@ -361,7 +363,7 @@ def canonical_key(lp: LabeledPoset) -> tuple[int, tuple[int, ...]]:
     isomorphism must preserve relative labels), so the relation masks in
     rank order pin the class exactly.  Below masks let the class recursion
     read each element's lower set straight off the key
-    (invariants.labeled_children).  One pass over the above masks sets
+    (invariants.complement_keys).  One pass over the above masks sets
     them, with no below masks derived first.
     """
     rank = [0] * lp.size

@@ -9,11 +9,11 @@ BudgetError, a ValueError reading describe(B) + "; set POSET_ORACLE_MAX to
 raise it", on which the CLI exits 1.  Any other count is added to
 COUNTERS[kind].  The kinds, and what each budget counts:
 
-- ideals: the lists grown by posets._grow_ideals (for enumerate_ideals,
-  omega_natural_ideals and, in label order from a class key,
-  invariants.labeled_children) and by the search of
-  omegagraph.path_counts, which read limit() once and stop as soon as a
-  list passes it;
+- ideals: the lists grown by posets._grow_ideals (for enumerate_ideals
+  and omega_natural_ideals), by the class walk's invariants.complement_keys
+  (one list per class, under the budget its walk reads once) and by the
+  search of omegagraph.path_counts, which stop as soon as a list passes
+  limit();
 - maps: N^|P| maps into [N] per call of framework.qsym_direct and of
   invariants.order_poly_bruteforce (N = |P|, so |P| <= B), the work done:
   both walk each map once (invariants.admissible_maps);

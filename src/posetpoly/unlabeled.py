@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Literal
 
+from posetpoly import stats
 from posetpoly.framework import InvariantSpec, run_invariant
 from posetpoly.invariants import (
     ClassRecord,
@@ -94,8 +95,9 @@ def count_subcalls(p: Poset, flavor: Flavor) -> int:
     seen = {start}
     pending = [start]
     requests = 0
+    budget = stats.limit()
     while pending:
-        for child, _, mult in labeled_children(pending.pop(), table):
+        for child, _, mult in labeled_children(pending.pop(), table, budget):
             requests += mult
             if child.key not in seen:
                 seen.add(child.key)

@@ -23,7 +23,7 @@ from posetpoly.eulerian import eulerian_from_chains, eulerian_recursive, euleria
 from posetpoly.framework import qsym_direct, qsym_recursive
 from posetpoly.invariants import (
     SMALL_CLASS_MAX,
-    child_key,
+    complement_keys,
     labeled_children,
     order_poly_recursive,
     phi,
@@ -129,7 +129,7 @@ def large_classes_below(lp):
     pending = [start]
     table = {}
     while pending:
-        for child, _, _ in labeled_children(pending.pop(), table):
+        for child, _, _ in labeled_children(pending.pop(), table, stats.limit()):
             if len(child.key) > SMALL_CLASS_MAX and child.key not in seen:
                 seen.add(child.key)
                 pending.append(child.key)
@@ -254,7 +254,8 @@ def test_labeled_children_match_a_subset_reference():
     ]
     for lp in inputs:
         key = canonical_key(lp)[1]
-        listed = [(child.key, removed, mult) for child, removed, mult in labeled_children(key, {})]
+        children = labeled_children(key, {}, stats.limit())
+        listed = [(child.key, removed, mult) for child, removed, mult in children]
         assert listed == reference_children(key), lp
 
 
@@ -262,11 +263,12 @@ def test_labeled_children_match_the_subset_reference_on_every_class_up_to_5_poin
     for n in range(6):
         for lp in labeled_classes(n):
             key = canonical_key(lp)[1]
-            listed = [(child.key, removed, mult) for child, removed, mult in labeled_children(key, {})]
+            children = labeled_children(key, {}, stats.limit())
+            listed = [(child.key, removed, mult) for child, removed, mult in children]
             assert listed == reference_children(key), lp
 
 
-def test_squeezed_child_keys_match_induced_relation_and_the_subset_reference():
+def test_squeezed_complement_keys_match_induced_relation_and_the_subset_reference():
     # the labeled catalog up to 5 points, seeded 6-9-point classes and the
     # natural 40-chain, each through its representative labeled 1..n by index
     chain = make_chain(40)
@@ -280,15 +282,12 @@ def test_squeezed_child_keys_match_induced_relation_and_the_subset_reference():
         rep = representative(key)
         assert rep.poset.below == key
         full = rep.poset.full_mask
-        ideals = omega_natural_ideals(rep)[1:]
+        ideals, keys = complement_keys(key, stats.limit())
+        # label order lists the ideals in increasing mask order, each after its parent
+        assert ideals == sorted(omega_natural_ideals(rep)), key
         expected = [induced_relation(key, full ^ ideal) for ideal in ideals]
         assert expected == [canonical_key(induced_subposet(rep, full ^ i))[1] for i in ideals]
-        keys = {0: key}
-        assert [child_key(keys, full, ideal) for ideal in ideals] == expected, key
-        # largest ideal first: missing parents are built on the way down
-        keys = {0: key}
-        assert [child_key(keys, full, ideal) for ideal in reversed(ideals)] == expected[::-1]
-        assert set(keys) == {0, *ideals}
+        assert keys == expected, key
 
 
 def test_one_recursion_reads_the_pinned_counts(monkeypatch):

@@ -7,23 +7,27 @@ memos, so a planted fault cannot hide behind a value computed before it
 was planted.  Where the two sides of a check share code, a mutant of that
 code survives it, and the kill matrix says so.
 
-Two mutants are left out because they are equivalent under label-order
-growth, so no check can kill them:
+The class walk's growth and squeeze (invariants.complement_keys) are
+mutated in their own source, so a mutant is the code as it stands with one
+fault planted, and an edit that no longer matches fails loudly.
+
+Two mutants are left out because they are equivalent, so no check can kill
+them:
 
 - dropping the skip of an element whose lower set holds a later element:
   growth in label order never admits such an element anyway, since no
   ideal grown so far holds that later element;
-- taking t as the ideal's lowest bit in child_key: the squeeze removes t
-  from the complement of ideal - t whichever element of the ideal t is,
-  and a parent that is not an ideal is missing from the keys, so it is
-  built the same way: the keys come out the same, only more slowly.
+- squeezing every mask, without the shortcut for a mask at or below low:
+  the squeeze leaves such a mask as it is.
 """
 
+import inspect
 import random
+import textwrap
 
 import pytest
 
-from posetpoly import eulerian, invariants, omegagraph, posets, unlabeled
+from posetpoly import eulerian, invariants, omegagraph, unlabeled
 from posetpoly.catalog import labeled_classes
 from posetpoly.eulerian import (
     eulerian_from_chains,
@@ -81,37 +85,50 @@ def failed_checks(monkeypatch):
     return {name for name, check in CHECKS.items() if not all(map(check, INPUTS))}
 
 
+def mutate(monkeypatch, module, name, *edits):
+    """Replace module.name by its own source with each (old, new) edit made,
+    each old occurring in it exactly once; the copy reads module's globals."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    for old, new in edits:
+        assert source.count(old) == 1, f"{old!r} does not occur once in {name}"
+        source = source.replace(old, new)
+    defined: dict = {}
+    exec(source, vars(module), defined)
+    monkeypatch.setattr(module, name, defined[name])
+
+
+# x sits at position x - |I ∩ {0..x-1}| of the complement of I, which is
+# x - |I| only when I lies below x, as in label order
+GENERAL_GAP = ("gap = x - ideal.bit_count()", "gap = x - (ideal & (bit - 1)).bit_count()")
+
+
 def grow_in_reverse_label_order(monkeypatch):
-    grow = posets._grow_ideals
-    monkeypatch.setattr(posets, "_grow_ideals", lambda below, order: grow(below, order[::-1]))
+    mutate(
+        monkeypatch,
+        invariants,
+        "complement_keys",
+        ("in enumerate(key):", "in reversed(list(enumerate(key))):"),
+        GENERAL_GAP,
+    )
 
 
 def admit_on_any_of_the_lower_set(monkeypatch):
-    def grow(below, order):
-        ideals = [0]
-        for x in order:
-            need = below[x]
-            ideals += [ideal | 1 << x for ideal in ideals if not need or ideal & need]
-        return ideals
-
-    monkeypatch.setattr(posets, "_grow_ideals", grow)
+    mutate(
+        monkeypatch,
+        invariants,
+        "complement_keys",
+        ("if ideal & need == need:", "if not need or ideal & need:"),
+    )
 
 
-def child_key_gap_off_by_one(monkeypatch):
-    def child_key(keys, full, ideal):
-        t = ideal.bit_length() - 1
-        parent = ideal ^ (1 << t)
-        masks = keys.get(parent)
-        if masks is None:
-            masks = child_key(keys, full, parent)
-        gap = ((full ^ ideal) & ((1 << (t + 2)) - 1)).bit_count()  # counts t + 1 too
-        low = (1 << gap) - 1
-        squeezed = [mask if mask <= low else (mask & low) | ((mask >> 1) & ~low) for mask in masks]
-        del squeezed[gap]
-        keys[ideal] = key = tuple(squeezed)
-        return key
-
-    monkeypatch.setattr(invariants, "child_key", child_key)
+def squeeze_gap_off_by_one(monkeypatch):
+    # counts x + 1 too, where there is one
+    mutate(
+        monkeypatch,
+        invariants,
+        "complement_keys",
+        ("gap = x - ideal.bit_count()", "gap = x - ideal.bit_count() + (x + 1 < len(key))"),
+    )
 
 
 def reflect_with_the_sign_flipped(monkeypatch):
@@ -127,16 +144,15 @@ def shift_the_eulerian_counts(monkeypatch):
 
 
 ALL = set(CHECKS)
-# run_invariant grows its ideals through the same posets._grow_ideals, and
 # the strict recursion behind the weak polynomial admits only minimal
 # elements, which every growth order admits on an empty lower set
-GROWTH = {"recursion against path counts", "e against chains", "eulerian series"}
+GROWTH = ALL - {"weak polynomial against natural path counts"}
 
 # mutant -> the checks it fails
 KILLS = {
     grow_in_reverse_label_order: GROWTH,
     admit_on_any_of_the_lower_set: GROWTH,
-    child_key_gap_off_by_one: ALL,
+    squeeze_gap_off_by_one: ALL,
     reflect_with_the_sign_flipped: {"weak polynomial against natural path counts"},
     # the shift survives "e against chains", whose sides share the closed form
     shift_the_eulerian_counts: {"eulerian series", "etilde against its spec"},

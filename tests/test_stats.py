@@ -8,7 +8,12 @@ from posetpoly import invariants, omegagraph, stats
 from posetpoly.bernoulli import bernoulli_multinomial
 from posetpoly.cli import main
 from posetpoly.framework import qsym_direct, qsym_recursive, qsym_spec, run_invariant
-from posetpoly.invariants import order_poly_bruteforce, order_poly_matrix, theta_matrix
+from posetpoly.invariants import (
+    order_poly_bruteforce,
+    order_poly_matrix,
+    order_poly_recursive,
+    theta_matrix,
+)
 from posetpoly.omegagraph import path_counts
 from posetpoly.posets import (
     ORACLE_BOUND_ENV,
@@ -16,10 +21,12 @@ from posetpoly.posets import (
     enumerate_ideals,
     make_antichain,
     make_chain,
+    make_poset,
     make_shrub,
     natural_labeling,
     omega_natural_ideals,
 )
+from posetpoly.unlabeled import order_poly_unlabeled
 
 
 def natural(p):
@@ -35,6 +42,9 @@ REFUSALS = [
     (lambda: enumerate_ideals(make_antichain(5)), "ideals", IDEALS_REFUSED),
     (lambda: omega_natural_ideals(natural(make_antichain(5))), "ideals", IDEALS_REFUSED),
     (lambda: path_counts(natural(make_antichain(5))), "ideals", IDEALS_REFUSED),
+    # the class walk: the top class's 2^5 ideals
+    (lambda: order_poly_recursive(natural(make_antichain(5))), "ideals", IDEALS_REFUSED),
+    (lambda: order_poly_unlabeled(make_antichain(5)), "ideals", IDEALS_REFUSED),
     (
         lambda: order_poly_bruteforce(natural(make_antichain(4))),
         "maps",
@@ -70,6 +80,8 @@ ADMITTED = [
     # the 1-point class and then the empty one: 9·C(3,1) + 9·C(2,0)
     (lambda: run_invariant(qsym_spec(3), natural(make_antichain(1))), "exponents", 27 + 9),
     (lambda: bernoulli_multinomial(5), "compositions", 16),
+    # three 2-chains: the top class has 3^3 ideals, and every class it reaches is charged
+    (lambda: order_poly_recursive(natural(make_poset(6, [(0, 1), (2, 3), (4, 5)]))), "ideals", 156),
 ]
 
 
@@ -80,6 +92,8 @@ ADMITTED = [
         "enumerate_ideals",
         "omega_natural_ideals",
         "path_counts",
+        "order_poly_recursive",
+        "order_poly_unlabeled",
         "order_poly_bruteforce",
         "qsym_direct",
         "qsym_recursive",
@@ -101,11 +115,20 @@ def test_each_budget_refuses_with_its_own_message(monkeypatch, call, kind, messa
 @pytest.mark.parametrize(
     "call, kind, count",
     ADMITTED,
-    ids=["order_poly_bruteforce", "qsym_direct", "qsym_recursive", "run_invariant", "multinomial"],
+    ids=[
+        "order_poly_bruteforce",
+        "qsym_direct",
+        "qsym_recursive",
+        "run_invariant",
+        "multinomial",
+        "order_poly_recursive",
+    ],
 )
 def test_each_budget_counts_what_it_admits(monkeypatch, call, kind, count):
     monkeypatch.setenv(ORACLE_BOUND_ENV, "3")
-    monkeypatch.setattr(invariants, "_SMALL_LABELED", {})  # a kept qsym value expands nothing
+    # a kept qsym value expands nothing, and kept children are not grown again
+    monkeypatch.setattr(invariants, "_SMALL_LABELED", {})
+    monkeypatch.setattr(invariants, "_LAST_LARGE", None)
     stats.reset()
     call()
     assert stats.snapshot()[kind] == count

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from posetpoly import invariants, omegagraph, posets
+from posetpoly import invariants, omegagraph
 from posetpoly.invariants import order_poly_recursive
 from posetpoly.omegagraph import path_counts
 from posetpoly.posets import LabeledPoset, induced_subposet, make_poset
@@ -49,16 +49,16 @@ def union_faults(seed: int) -> list[str]:
 
 
 def drop_a_pair_ideal(monkeypatch):
-    grow = posets._grow_ideals
+    grow = invariants.complement_keys
 
-    def dropping(below, order):
-        ideals = grow(below, order)
-        pairs = [ideal for ideal in ideals if ideal.bit_count() == 2]
-        if len(below) >= FAULTY_FROM and pairs:
-            ideals.remove(pairs[0])
-        return ideals
+    def dropping(key, budget):
+        ideals, keys = grow(key, budget)
+        pairs = [k for k, ideal in enumerate(ideals) if ideal.bit_count() == 2]
+        if len(key) >= FAULTY_FROM and pairs:
+            del ideals[pairs[0]], keys[pairs[0]]
+        return ideals, keys
 
-    monkeypatch.setattr(posets, "_grow_ideals", dropping)
+    monkeypatch.setattr(invariants, "complement_keys", dropping)
 
 
 def blank_a_key_mask(monkeypatch):
