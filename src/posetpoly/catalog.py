@@ -81,11 +81,12 @@ def standard_labelings(p: Poset, random_count: int = 3, seed: int = _LABEL_SEED)
     return batch
 
 
-def labeled_catalog(max_size: int, random_count: int = 3) -> list[LabeledPoset]:
-    """Every catalog poset of size <= max_size under the standard labelings."""
+def labeled_catalog(max_size: int) -> list[LabeledPoset]:
+    """Every catalog poset of size <= max_size under the standard labelings,
+    three of them random."""
     out = []
     for p in posets_up_to(max_size):
-        for omega in standard_labelings(p, random_count):
+        for omega in standard_labelings(p):
             out.append(LabeledPoset(p, omega))
     return out
 

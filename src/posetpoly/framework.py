@@ -15,6 +15,9 @@ the building-block operator for m is sum_k x_k^m S^k.
 
 run_invariant evaluates any spec on its carrier, in Fractions; it is the
 independent route the checks compare the dedicated recursions against.
+The checks also sample the linearity of these specs' own operators, so an
+operator that is not linear fails even where it agrees with the
+recursion on every catalog class.
 qsym_recursive is the dedicated one: it keeps integer coefficients on the
 monomial quasi-symmetric basis, where the building-block operator for m
 prepends the part m to a composition, M_alpha -> M_((m) + alpha), and
@@ -23,7 +26,8 @@ invariants, which Omega and e/etilde share; the coordinates of a class of
 more than 5 elements hold N, so a call with another N recomputes them.
 qsym_direct, qsym_recursive and run_invariant's qsym specs are metered by
 posetpoly.stats as maps, monomials and exponents, each counted before any
-expansion.
+expansion; qsym_direct and qsym_recursive first charge the N exponents of
+one vector, which alone bounds N on the empty poset.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from posetpoly.invariants import (
     Step,
     admissible_maps,
     class_coordinates,
-    order_constraints,
     order_poly_recursive,
     top_record,
 )
@@ -224,29 +227,37 @@ def lambda_operator(q: QSymTruncated, m: int) -> QSymTruncated:
     return QSymTruncated(n, out)
 
 
+def _charge_vector(nvars: int) -> None:
+    """Charge the nvars exponents of one exponent vector to the exponents
+    budget, before any is built.  On the empty poset the maps and monomials
+    count 1 whatever nvars, so this is what refuses a huge nvars there."""
+    stats.charge(
+        "exponents",
+        nvars,
+        lambda b: f"an exponent vector in {nvars} variables exceeds the enumeration budget {b}^{b}",
+    )
+
+
 def qsym_direct(lp: LabeledPoset, nvars: int) -> QSymTruncated:
     """Sum the monomial of every order- and label-compatible map into
     {1..nvars}: weakly increasing along the order, strictly where the
-    label decreases.  It walks the same admissible maps as the
-    order-polynomial oracle (invariants.admissible_maps, value v standing
-    for x_(v+1)), each of the nvars^|P| maps once, and charges them to the
-    maps budget.  The maps are counted in ints, which QSymTruncated turns
-    into shared Fractions."""
+    label decreases.  It walks the admissible maps of the order-polynomial
+    oracle (invariants.admissible_maps, value v standing for x_(v+1)), each
+    of the nvars^|P| maps once, and charges them to the maps budget.  The
+    maps are counted in ints, which QSymTruncated turns into shared
+    Fractions."""
     n = lp.size
+    _charge_vector(nvars)
     stats.charge(
         "maps", nvars**n, lambda b: f"{nvars}^{n} maps exceed the enumeration budget {b}^{b}"
     )
-    if n == 0:
-        return QSymTruncated.one(nvars)
     accumulated: dict[tuple[int, ...], int] = {}
-    constraints = order_constraints(lp)
-    for largest in range(nvars):
-        for f in admissible_maps(lp, largest, constraints):
-            exps = [0] * nvars
-            for v in f:
-                exps[v] += 1
-            key = tuple(exps)
-            accumulated[key] = accumulated.get(key, 0) + 1
+    for f in admissible_maps(lp, nvars):
+        exps = [0] * nvars
+        for v in f:
+            exps[v] += 1
+        key = tuple(exps)
+        accumulated[key] = accumulated.get(key, 0) + 1
     return QSymTruncated(nvars, accumulated)
 
 
@@ -446,6 +457,7 @@ def qsym_recursive(lp: LabeledPoset, nvars: int) -> QSymTruncated:
     last = record.qsym_value  # a small class keeps the value of its latest nvars
     if last is not None and last[0] == nvars:
         return last[1]
+    _charge_vector(nvars)
     coords = class_coordinates(record, "qsym", _composition_step(nvars), table)
     pairs = iter(coords)
     count = sum(

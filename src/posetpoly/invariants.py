@@ -39,8 +39,10 @@ class, in one label-order pass (complement_keys): each omega-natural ideal
 grows from its parent, the ideal without its largest label, and its
 complement's key is squeezed from the parent's in one step per mask, so
 listing the children of a class of k points costs O(k) per ideal, with no
-transpose, no sort and no table of keys.  The walk reads the ideals budget
-once and charges each class's list of ideals to it.
+transpose and no sort.  Each key is counted as it is made, so the pass
+hands up {child key: multiplicity} and its ideals share one key tuple per
+distinct child.  The walk reads the ideals budget once and charges each
+class's list of ideals to it.
 
 phi is the t-coefficient of the order polynomial, computed here from
 alternating path counts; the flag sums rebuild the whole polynomial from
@@ -90,43 +92,32 @@ __all__ = [
     "derivative_identity_check",
 ]
 
-def order_constraints(lp: LabeledPoset) -> list[tuple[int, int, bool]]:
-    """(x, y, strict) per relation x < y of lp, strict where labels decrease."""
-    above = lp.poset.above
-    return [(x, y, lp.omega[x] > lp.omega[y]) for x in range(lp.size) for y in iter_bits(above[x])]
-
-
-def admissible_maps(
-    lp: LabeledPoset, largest: int, constraints: list[tuple[int, int, bool]] | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Yield the admissible maps f: P -> {0..largest} whose largest value
-    is `largest`, as tuples indexed by element: order-preserving, and
-    strict on every relation x < y whose labels decrease (the constraints
-    an oracle builds once per call).  One product of ranges per element
-    that first takes the largest value, so largest = 0..N-1 walks each of
-    the N^|P| maps into [N] once."""
-    n = lp.size
-    if constraints is None:
-        constraints = order_constraints(lp)
-    below, up_to = range(largest), range(largest + 1)
-    for first in range(n if largest else 1):  # at 0 only the zero map
-        for f in product(*[below] * first, (largest,), *[up_to] * (n - 1 - first)):
-            for x, y, strict in constraints:
-                if f[x] > f[y] or (strict and f[x] == f[y]):
-                    break
-            else:
-                yield f
+def admissible_maps(lp: LabeledPoset, values: int) -> Iterator[tuple[int, ...]]:
+    """Yield the admissible maps f: P -> {0..values-1}, as tuples indexed by
+    element: order-preserving, and strict on every relation x < y whose
+    labels decrease.  One filtered product walks each of the values^|P|
+    maps once."""
+    above, omega = lp.poset.above, lp.omega
+    constraints = [(x, y, omega[x] > omega[y]) for x in range(lp.size) for y in iter_bits(above[x])]
+    for f in product(range(values), repeat=lp.size):
+        for x, y, strict in constraints:
+            if f[x] > f[y] or (strict and f[x] == f[y]):
+                break
+        else:
+            yield f
 
 
 def order_poly_bruteforce(lp: LabeledPoset) -> UniPoly:
     """Count the admissible maps into [n] for each n up to |P| in one pass
-    over the |P|^|P| maps into [|P|], by largest value, and interpolate."""
+    over the |P|^|P| maps into [|P|], binned by largest value, and
+    interpolate."""
     n = lp.size
     stats.charge("maps", n**n, lambda b: f"poset size {n} exceeds the brute-force bound {b}")
     if n == 0:
         return UniPoly([1])
-    constraints = order_constraints(lp)
-    counts = [sum(1 for _ in admissible_maps(lp, k, constraints)) for k in range(n)]
+    counts = [0] * n
+    for f in admissible_maps(lp, n):
+        counts[max(f)] += 1
     return lagrange_interpolate([(0, 0), *enumerate(accumulate(counts), 1)])
 
 
@@ -330,25 +321,21 @@ def labeled_children(
 ) -> list[tuple[ClassRecord, int, int]]:
     """The classes P \\ S for the nonempty omega-natural ideals S of the class,
     as (record, removed size, multiplicity), each child where it first occurs
-    in growth order.
-
-    The complement keys that complement_keys grows are counted by key, and
-    each distinct child is resolved to its record once, its removed size
-    read off its key.  budget is the ideals budget (stats.limit()), which a
-    walk reads once for all its classes.
-    """
+    in growth order: complement_keys' counts, each distinct child resolved
+    to its record once, its removed size read off its key.  budget is the
+    ideals budget (stats.limit()), which a walk reads once for all its
+    classes."""
     size = len(key)
-    COUNTERS["large_class_expansions" if size > SMALL_CLASS_MAX else "small_class_expansions"] += 1
-    _, keys = complement_keys(key, budget)
-    counts: dict[tuple, int] = {}
-    for child in keys[1:]:  # keys[0] is the class itself, the empty ideal's complement
-        counts[child] = counts.get(child, 0) + 1
-    return [(class_record(child, table), size - len(child), mult) for child, mult in counts.items()]
+    return [
+        (class_record(child, table), size - len(child), mult)
+        for child, mult in complement_keys(key, budget).items()
+    ]
 
 
-def complement_keys(key: tuple, budget: int) -> tuple[list[int], list[tuple]]:
-    """The omega-natural ideals of the class, the empty one first, and the
-    key of each one's complement, grown together in label order.
+def complement_keys(key: tuple, budget: int) -> dict[tuple, int]:
+    """The key of P \\ S for each nonempty omega-natural ideal S of the
+    class, counted: {child key: multiplicity}, each child where it first
+    occurs as the ideals grow in label order.
 
     A key lists the below masks in label order (canonical_key), so the
     representative is labeled 1..n by index and key[x] is x's lower set.
@@ -365,11 +352,16 @@ def complement_keys(key: tuple, budget: int) -> tuple[list[int], list[tuple]]:
     I + x is I's complement key squeezed at gap: x's mask dropped and the
     gap closed in every other mask, which drops x's bit from the masks of
     the elements above it.  That is one step per mask, so a class of k
-    points costs O(k) per ideal.  The list is charged to the ideals budget,
-    and refused as soon as it passes it.
+    points costs O(k) per ideal.  Each key is counted as it is made, and
+    the ideals hold one tuple per distinct child between them.  The list of
+    ideals, the empty one included, is charged to the ideals budget, and
+    refused as soon as it passes it.
     """
+    large = len(key) > SMALL_CLASS_MAX
+    COUNTERS["large_class_expansions" if large else "small_class_expansions"] += 1
     ideals = [0]
     keys = [key]
+    counts: dict[tuple, list] = {}  # child key -> [the one tuple of that key, multiplicity]
     for x, need in enumerate(key):
         if need >> x:
             continue
@@ -382,12 +374,15 @@ def complement_keys(key: tuple, budget: int) -> tuple[list[int], list[tuple]]:
                 high = ~low
                 squeezed = [m if m <= low else (m & low) | ((m >> 1) & high) for m in keys[i]]
                 del squeezed[gap]
+                child = tuple(squeezed)
+                entry = counts.setdefault(child, [child, 0])
+                entry[1] += 1
                 ideals.append(ideal | bit)
-                keys.append(tuple(squeezed))
+                keys.append(entry[0])
         if len(ideals) > budget:
             break
     stats.charge("ideals", len(ideals), posets._too_many_ideals, budget)
-    return ideals, keys
+    return dict(counts.values())
 
 
 def binomial_step(size: int, children: list[tuple[object, int, int]]) -> tuple[int, ...]:

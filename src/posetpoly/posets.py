@@ -31,8 +31,8 @@ way over only the elements with no larger-labeled element below them, so
 they are never filtered out of all ideals.  enumerate_ideals and
 omega_natural_ideals both grow through _grow_ideals.  The class recursion
 grows its own, in label order from a canonical_key, together with each
-complement's key (invariants.complement_keys), so it shares no growth
-with run_invariant.  All are metered as the ideals kind of
+complement's key, counted by child (invariants.complement_keys), so it
+shares no growth with run_invariant.  All are metered as the ideals kind of
 posetpoly.stats, whose budget they stop at.
 """
 

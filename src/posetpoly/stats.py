@@ -18,7 +18,9 @@ COUNTERS[kind].  The kinds, and what each budget counts:
   invariants.order_poly_bruteforce (N = |P|, so |P| <= B), the work done:
   both walk each map once (invariants.admissible_maps);
 - exponents: those a qsym:N spec of framework.run_invariant would write,
-  per class;
+  per class, and the N of one exponent vector, which framework.qsym_direct
+  and qsym_recursive charge before they build any (on the empty poset the
+  maps and monomials count 1 whatever N);
 - monomials: those framework.qsym_recursive expands (a small class
   returning its kept value expands none);
 - compositions: the 2^(n-1) that bernoulli.bernoulli_multinomial sums;
@@ -30,7 +32,7 @@ The other counters take one dict store per event:
 
 - small_class_expansions / large_class_expansions: labeled classes of at
   most / more than SMALL_CLASS_MAX points whose children were listed
-  (invariants.labeled_children);
+  (invariants.complement_keys);
 - class_slot_hits / class_slot_misses: public recursion calls on a class of
   more than SMALL_CLASS_MAX points that found / did not find its
   large-class table in the one slot of invariants;

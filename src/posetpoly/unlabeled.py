@@ -27,10 +27,9 @@ from typing import Callable, Literal
 from posetpoly import stats
 from posetpoly.framework import InvariantSpec, run_invariant
 from posetpoly.invariants import (
-    ClassRecord,
     binomial_step,
     class_coordinates,
-    labeled_children,
+    complement_keys,
     order_poly_recursive,
     reflected_coordinates,
     top_record,
@@ -87,21 +86,23 @@ def signed_order_poly_nabla(p: Poset) -> UniPoly:
 def count_subcalls(p: Poset, flavor: Flavor) -> int:
     """Child requests made by a fresh run of the recursion under a natural
     labeling ("ideals") or a strict one ("minimal"): one per nonempty
-    omega-natural ideal of every labeled class the run reaches."""
+    omega-natural ideal of every labeled class the run reaches, read off
+    each class's counted children (invariants.complement_keys), with no
+    class record made."""
     if flavor not in _LABELINGS:
         raise ValueError(f"unknown recursion flavor {flavor!r}")
-    table: dict[tuple, ClassRecord] = {}
     start = canonical_key(LabeledPoset(p, _LABELINGS[flavor](p)))[1]
     seen = {start}
     pending = [start]
     requests = 0
     budget = stats.limit()
     while pending:
-        for child, _, mult in labeled_children(pending.pop(), table, budget):
-            requests += mult
-            if child.key not in seen:
-                seen.add(child.key)
-                pending.append(child.key)
+        children = complement_keys(pending.pop(), budget)
+        requests += sum(children.values())
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                pending.append(child)
     return requests
 
 

@@ -67,12 +67,12 @@ def test_interior_chain_polynomial_determines_eulerian_forms():
 
 
 def test_generic_recursion_reproduces_every_invariant_and_is_linear():
-    ok, detail = check_framework(4, samples=100)
+    ok, detail = check_framework(4)
     assert ok, detail
 
 
 def test_quasi_symmetry_and_specialization():
-    ok, detail = check_qsym(4, max_vars=5)
+    ok, detail = check_qsym(4)
     assert ok, detail
 
 
@@ -82,7 +82,7 @@ def test_unlabeled_routes_reciprocity_and_endpoint_values():
 
 
 def test_transition_matrix_at_integers_equals_adjacency_powers():
-    ok, detail = check_theta_powers(5, max_power=5)
+    ok, detail = check_theta_powers(5)
     assert ok, detail
 
 

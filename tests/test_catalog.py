@@ -36,7 +36,7 @@ def test_standard_labelings_shape():
 
 
 def test_labeled_catalog_size():
-    assert len(labeled_catalog(3, random_count=3)) == (1 + 1 + 2 + 5) * 5
+    assert len(labeled_catalog(3)) == (1 + 1 + 2 + 5) * 5
 
 
 def test_labeled_classes_are_every_class_once():

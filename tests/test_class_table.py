@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,7 @@ from posetpoly.posets import (
     induced_relation,
     induced_subposet,
     iter_bits,
+    make_antichain,
     make_chain,
     make_poset,
     natural_labeling,
@@ -282,12 +284,30 @@ def test_squeezed_complement_keys_match_induced_relation_and_the_subset_referenc
         rep = representative(key)
         assert rep.poset.below == key
         full = rep.poset.full_mask
-        ideals, keys = complement_keys(key, stats.limit())
-        # label order lists the ideals in increasing mask order, each after its parent
-        assert ideals == sorted(omega_natural_ideals(rep)), key
-        expected = [induced_relation(key, full ^ ideal) for ideal in ideals]
-        assert expected == [canonical_key(induced_subposet(rep, full ^ i))[1] for i in ideals]
-        assert keys == expected, key
+        # label order grows the ideals in increasing mask order, so each
+        # child is counted where it first occurs in that order
+        expected = {}
+        for ideal in sorted(omega_natural_ideals(rep))[1:]:
+            child = induced_relation(key, full ^ ideal)
+            assert child == canonical_key(induced_subposet(rep, full ^ ideal))[1]
+            expected[child] = expected.get(child, 0) + 1
+        assert list(complement_keys(key, stats.limit()).items()) == list(expected.items()), key
+
+
+def test_the_walk_holds_one_key_per_distinct_child(monkeypatch):
+    """The natural 14-antichain has 2^14 ideals and 14 distinct children:
+    the walk's traced peak stays under 64 bytes per ideal, where a key
+    tuple per ideal took about 130."""
+    monkeypatch.setattr(invariants, "_LAST_LARGE", None)
+    p = make_antichain(14)
+    lp = LabeledPoset(p, natural_labeling(p))
+    tracemalloc.start()
+    try:
+        order_poly_recursive(lp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**14
 
 
 def test_one_recursion_reads_the_pinned_counts(monkeypatch):

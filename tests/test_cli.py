@@ -250,6 +250,20 @@ def test_header_refusal_reaches_qsym_with_one_variable(poset_file, capsys, monke
     assert "a poset on 4 elements has at least 5 ideals" in err
 
 
+@pytest.mark.parametrize("route", ["direct", "recursive"])
+def test_qsym_on_the_empty_poset_refuses_a_huge_vector_at_once(capsys, monkeypatch, route):
+    # 0 points admit one map and one monomial, but its exponent vector has
+    # one entry per variable
+    monkeypatch.setattr("sys.stdin", io.StringIO("elements: 0\n"))
+    started = time.perf_counter()
+    code, out, err = run_cli(
+        ["qsym", "-", "--vars", "100000000", "--route", route, "--json"], capsys
+    )
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (1, "")
+    assert "an exponent vector in 100000000 variables exceeds the enumeration budget 7^7" in err
+
+
 @pytest.mark.parametrize("nvars", [300, 3000])
 def test_invariant_qsym_refuses_oversized_expansion(poset_file, capsys, nvars):
     path = poset_file("elements: 3\n")

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from posetpoly import checks
 from posetpoly.catalog import labeled_catalog
 from posetpoly.eulerian import eulerian_from_chains, eulerian_tilde_recursive
 from posetpoly.framework import (
@@ -273,7 +275,7 @@ def random_qsym(rng, nvars):
 
 def test_operator_linearity_samples():
     rng = random.Random(271828)
-    etilde_op = lambda value: LocalizedRatio(UniPoly((0, 1)), 1) * value
+    etilde_op = etilde_spec().operator
     eul = eulerian_spec()
     for _ in range(30):
         a, b = random_unipoly(rng), random_unipoly(rng)
@@ -290,6 +292,21 @@ def test_operator_linearity_samples():
         m = rng.randint(1, 3)
         assert lambda_operator(qa + qb, m) == lambda_operator(qa, m) + lambda_operator(qb, m)
         assert lambda_operator(c * qa, m) == c * lambda_operator(qa, m)
+
+
+def test_check_framework_samples_the_specs_own_tilde_operator(monkeypatch):
+    """An etilde operator that is not linear, yet agrees with the recursion
+    on every catalog class, since the recursion never hands it a value
+    without a pole, fails check_framework's linearity samples."""
+    spec = etilde_spec()
+
+    def planted(value):
+        out = spec.operator(value)
+        return out + value * value if value.pole_order == 0 else out
+
+    planted_spec = dataclasses.replace(spec, operator=planted)
+    monkeypatch.setattr(checks, "etilde_spec", lambda: planted_spec)
+    assert checks.check_framework(4) == (False, "tilde operator is not linear")
 
 
 def test_order_polynomial_multiplies_over_disjoint_pieces():

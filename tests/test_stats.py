@@ -60,6 +60,17 @@ REFUSALS = [
         "monomials",
         "28 monomials in 7 variables exceed the enumeration budget 3^3",
     ),
+    # the empty poset: one map and one monomial, one vector of 28 exponents
+    (
+        lambda: qsym_direct(natural(make_antichain(0)), 28),
+        "exponents",
+        "an exponent vector in 28 variables exceeds the enumeration budget 3^3",
+    ),
+    (
+        lambda: qsym_recursive(natural(make_antichain(0)), 28),
+        "exponents",
+        "an exponent vector in 28 variables exceeds the enumeration budget 3^3",
+    ),
     (
         lambda: run_invariant(qsym_spec(3), natural(make_antichain(2))),
         "exponents",
@@ -97,6 +108,8 @@ ADMITTED = [
         "order_poly_bruteforce",
         "qsym_direct",
         "qsym_recursive",
+        "qsym_direct_empty",
+        "qsym_recursive_empty",
         "run_invariant",
         "bernoulli_multinomial",
     ],

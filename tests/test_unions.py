@@ -52,11 +52,13 @@ def drop_a_pair_ideal(monkeypatch):
     grow = invariants.complement_keys
 
     def dropping(key, budget):
-        ideals, keys = grow(key, budget)
-        pairs = [k for k, ideal in enumerate(ideals) if ideal.bit_count() == 2]
+        children = grow(key, budget)
+        pairs = [child for child in children if len(child) == len(key) - 2]
         if len(key) >= FAULTY_FROM and pairs:
-            del ideals[pairs[0]], keys[pairs[0]]
-        return ideals, keys
+            children[pairs[0]] -= 1
+            if not children[pairs[0]]:
+                del children[pairs[0]]
+        return children
 
     monkeypatch.setattr(invariants, "complement_keys", dropping)
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from posetpoly import unlabeled
+from posetpoly import invariants, unlabeled
 from posetpoly.catalog import labeled_catalog, posets_up_to
 from posetpoly.invariants import (
     binomial_step,
@@ -152,6 +152,14 @@ def test_subcall_counts_of_the_demo_posets():
     for p, ideals, minimal in ((make_chain(4), 10, 4), (make_shrub(2), 8, 5), (diamond, 12, 6)):
         assert count_subcalls(p, "ideals") == ideals
         assert count_subcalls(p, "minimal") == minimal
+
+
+def test_count_subcalls_makes_no_class_records(monkeypatch):
+    monkeypatch.setattr(invariants, "_SMALL_LABELED", {})
+    for p in (make_chain(4), make_shrub(2), make_antichain(7)):
+        count_subcalls(p, "ideals")
+        count_subcalls(p, "minimal")
+    assert invariants._SMALL_LABELED == {}
 
 
 def test_count_subcalls_rejects_unknown_flavor():
